@@ -9,6 +9,7 @@ from .bachelier import (
     price_vector,
     time_value,
     vega,
+    vega_vector,
 )
 from .cli import RunConfig, compare_methods, evaluated_curve, run_pipeline
 from .diagnostics import (
@@ -71,6 +72,7 @@ __all__ = [
     "time_value",
     "total_variance_check",
     "vega",
+    "vega_vector",
 ]
 
 __version__ = "0.1.0"

@@ -83,6 +83,20 @@ def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=Fa
     return base * (np.maximum(moneyness, 0.0) + tv)
 
 
+def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
+    """Vectorized d(price)/d(vol) for non-negative vols.
+
+    At zero vol this is the one-sided limit: the ATM value, zero elsewhere.
+    """
+    root_t = np.sqrt(expiries)
+    s = vols * root_t
+    moneyness = forwards - strike
+    live = s > 0.0
+    with np.errstate(over="ignore"):
+        d = np.where(live, moneyness / np.where(live, s, 1.0), np.where(moneyness == 0.0, 0.0, np.inf))
+        return discounts * accruals * root_t * _phi(d)
+
+
 def intrinsic_vector(forwards, strike, accruals, discounts):
     return discounts * accruals * np.maximum(forwards - strike, 0.0)
 

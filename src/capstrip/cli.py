@@ -26,6 +26,7 @@ import numpy as np
 from .diagnostics import CapQuoteSet, decompose, detect_outliers
 from .stripping import (
     StripConfig,
+    VolMap,
     add_synthetic_far_quote,
     bootstrap_sequential,
     strip_global,
@@ -76,13 +77,11 @@ class RunConfig:
             raise InputError(f"method must be one of {_METHODS}; got {self.method!r}")
         if self.family not in FAMILIES:
             raise InputError(f"unknown vol family {self.family!r}")
-        if self.beta <= 0.0:
-            raise InputError("beta must be positive")
         if self.nodes not in _NODE_CHOICES:
             raise InputError("nodes must be 'maturity' or 'mid'")
         if self.outliers not in _OUTLIER_POLICIES:
             raise InputError(f"outlier policy must be one of {_OUTLIER_POLICIES}")
-        if self.mad_threshold <= 0.0:
+        if not self.mad_threshold > 0.0:
             raise InputError("MAD threshold must be positive")
         if self.curve_interp not in _CURVE_INTERPS:
             raise InputError(f"curve interpolation must be one of {_CURVE_INTERPS}")
@@ -93,9 +92,10 @@ class RunConfig:
 def evaluated_curve(result, tenor_months=1):
     """sigma(t) exactly as the pricer evaluated it for this result.
 
-    Node-based results rebuild the interpolated curve (positive part, or the
-    exponential of the log-curve under the exp transform). Time-value results
-    have no curve between fixings, so they step through the solved vols.
+    Node-based results rebuild the interpolated curve and apply the
+    engine's VolMap (zero or positivity floor, or the exponential of the
+    log-curve under the exp transform). Time-value results have no curve
+    between fixings, so they step through the solved vols.
     """
     if result.method == "tv":
         times = np.asarray(result.caplet_times, dtype=float)
@@ -107,21 +107,22 @@ def evaluated_curve(result, tenor_months=1):
 
         return step
     cfg = result.config
-    delta = tenor_months / 12.0
-    if cfg.positivity == "exp":
-        log_curve = VolCurve(
-            cfg.family, result.node_times, np.log(result.node_values), beta=cfg.beta, delta=delta
-        )
-        return lambda t: np.exp(np.minimum(log_curve(t), 3.0))
-    curve = VolCurve(cfg.family, result.node_times, result.node_values, beta=cfg.beta, delta=delta)
-    return lambda t: np.maximum(curve(t), 0.0)
+    vol_map = VolMap.of(cfg, result.method)
+    curve = VolCurve(
+        cfg.family,
+        result.node_times,
+        vol_map.curve_values(result.node_values),
+        beta=cfg.beta,
+        delta=tenor_months / 12.0,
+    )
+    return lambda t: vol_map(curve(t))
 
 
-def _write_lines(path, lines):
-    Path(path).write_text("\n".join(lines) + "\n")
+def _csv_text(lines):
+    return "\n".join(lines) + "\n"
 
 
-def _write_diagnostics(path, report):
+def _diagnostics_text(report):
     lines = [
         "maturity_months,flat_vol_bp,cap_price_bp,intrinsic_bp,time_value_bp,"
         "d_price_bp,d_intrinsic_bp,d_time_value_bp,violation"
@@ -139,10 +140,10 @@ def _write_diagnostics(path, report):
             str(int(month in report.violations)),
         ]
         lines.append(f"{month}," + ",".join(cells))
-    _write_lines(path, lines)
+    return _csv_text(lines)
 
 
-def _write_outliers(path, quotes, report):
+def _outliers_text(quotes, report):
     lines = ["maturity_months,flat_vol_bp,score,flagged"]
     for q in range(len(quotes)):
         month = int(quotes.maturities_months[q])
@@ -150,17 +151,17 @@ def _write_outliers(path, quotes, report):
             f"{month},{quotes.flat_vols[q] * 1e4:.4f},{report.scores[q]:.4f},"
             f"{int(month in report.flagged)}"
         )
-    _write_lines(path, lines)
+    return _csv_text(lines)
 
 
-def _write_strip_csv(path, result):
+def _strip_csv_text(result):
     lines = ["fixing_months,caplet_vol_bp"]
     for t, vol in zip(result.caplet_times, result.caplet_vols):
         lines.append(f"{round(t * 12)},{vol * 1e4:.4f}")
-    _write_lines(path, lines)
+    return _csv_text(lines)
 
 
-def _write_strip_json(path, result, config):
+def _strip_json_text(result, config):
     config_echo = dataclasses.asdict(config)
     if np.isnan(config_echo["far_quote_vol_bp"]):
         config_echo["far_quote_vol_bp"] = None  # strict-JSON friendly
@@ -177,29 +178,42 @@ def _write_strip_json(path, result, config):
         "node_values_bp": [float(v) * 1e4 for v in result.node_values],
         "config": config_echo,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_daily_curve(path, result, tenor_months):
+def _daily_curve_text(result, tenor_months):
     sigma = evaluated_curve(result, tenor_months)
     days = np.arange(1, int(np.floor(result.caplet_times[-1] * 365.0)) + 1)
     times = days / 365.0
     vols_bp = np.asarray(sigma(times), dtype=float) * 1e4
     lines = ["t_years,caplet_vol_bp"]
     lines.extend(f"{t:.6f},{v:.4f}" for t, v in zip(times, vols_bp))
-    _write_lines(path, lines)
+    return _csv_text(lines)
+
+
+def _write_files(out, files):
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
 
 
 def run_pipeline(config):
     """Diagnose, apply the outlier policy, strip, and write artifacts.
 
     Returns the process exit code. Input problems raise InputError; the
-    command wrapper maps those to exit 1 without partial outputs (all
-    inputs are parsed before anything is written).
+    command wrapper maps those to exit 1 without partial outputs: every
+    result and artifact text is computed before the first file is written.
     """
     forward = ZeroCurve.from_csv(config.projection_curve, interp=config.curve_interp)
     discount = ZeroCurve.from_csv(config.discount_curve, interp=config.curve_interp)
     quotes = CapQuoteSet.from_csv(config.quotes, strike=config.strike_bp * 1e-4)
+    strip_cfg = StripConfig(
+        family=config.family,
+        placement=config.nodes,
+        beta=config.beta,
+        positivity=config.positivity,
+        floor_bp=config.floor_bp,
+    )
 
     max_months = int(quotes.maturities_months[-1])
     if config.far_quote_months:
@@ -207,17 +221,16 @@ def run_pipeline(config):
     schedule = build_schedule(forward, discount, max_months, config.tenor_months)
 
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     report = decompose(schedule, quotes)
-    _write_diagnostics(out / "diagnostics.csv", report)
+    files = {"diagnostics.csv": _diagnostics_text(report)}
 
     if config.outliers != "off":
         outlier_report = detect_outliers(quotes, threshold=config.mad_threshold)
-        _write_outliers(out / "outliers.csv", quotes, outlier_report)
+        files["outliers.csv"] = _outliers_text(quotes, outlier_report)
         if config.outliers == "remove" and outlier_report.flagged:
             quotes = quotes.drop(outlier_report.flagged)
     elif config.strict and report.violations:
+        _write_files(out, files)
         months = ", ".join(f"{m}M" for m in report.violations)
         click.echo(f"arbitrage violations at {months}; strict mode, stopping", err=True)
         return 2
@@ -226,13 +239,6 @@ def run_pipeline(config):
         vol = None if np.isnan(config.far_quote_vol_bp) else config.far_quote_vol_bp * 1e-4
         quotes = add_synthetic_far_quote(quotes, config.far_quote_months, vol)
 
-    strip_cfg = StripConfig(
-        family=config.family,
-        placement=config.nodes,
-        beta=config.beta,
-        positivity=config.positivity,
-        floor_bp=config.floor_bp,
-    )
     if config.method == "tv":
         result = strip_time_value(schedule, quotes, strip_cfg)
     elif config.method == "bootstrap":
@@ -240,9 +246,10 @@ def run_pipeline(config):
     else:
         result = strip_global(schedule, quotes, strip_cfg)
 
-    _write_strip_csv(out / "strip.csv", result)
-    _write_strip_json(out / "strip.json", result, config)
-    _write_daily_curve(out / "volcurve_daily.csv", result, config.tenor_months)
+    files["strip.csv"] = _strip_csv_text(result)
+    files["strip.json"] = _strip_json_text(result, config)
+    files["volcurve_daily.csv"] = _daily_curve_text(result, config.tenor_months)
+    _write_files(out, files)
 
     click.echo(
         f"{config.method}: {len(result.quote_months)} quotes used, "
@@ -478,13 +485,11 @@ def compare(ctx, **values):
             values["curve_interp"],
         )
         rows = compare_methods(schedule, quotes)
-        out = Path(values["out"])
-        out.mkdir(parents=True, exist_ok=True)
         lines = ["method,min_vol_bp,min_node_bp,reprice_err"]
         lines.extend(
             f"{label},{vol:.4f},{node:.4f},{err:.2e}" for label, vol, node, err in rows
         )
-        _write_lines(out / "compare.csv", lines)
+        _write_files(Path(values["out"]), {"compare.csv": _csv_text(lines)})
         width = max(len(label) for label, *_ in rows)
         click.echo(f"{'method':<{width}}  {'min vol':>9}  {'min node':>9}  reprice err")
         for label, vol, node, err in rows:

@@ -35,6 +35,10 @@ class CapQuoteSet:
             raise InputError("quote maturities must be strictly increasing")
         if months[0] < 2:
             raise InputError("first cap maturity must be at least 2 months")
+        if not np.all(np.isfinite(vols)) or np.any(vols < 0.0):
+            raise InputError("flat vols must be finite and non-negative")
+        if not np.isfinite(self.strike):
+            raise InputError("strike must be finite")
         object.__setattr__(self, "maturities_months", months)
         object.__setattr__(self, "flat_vols", vols)
 
@@ -45,7 +49,10 @@ class CapQuoteSet:
     def from_csv(cls, path, strike=0.0):
         """Load quotes from a 'maturity_months,flat_vol_bp' CSV."""
         months, vols_bp = _load_csv_columns(path, "maturity_months", "flat_vol_bp")
-        return cls(np.asarray(months, dtype=int), np.asarray(vols_bp) * 1e-4, strike)
+        months = np.asarray(months)
+        if not np.all(np.isfinite(months)) or np.any(months != np.round(months)):
+            raise InputError(f"{path}: maturity months must be whole numbers")
+        return cls(months.astype(int), np.asarray(vols_bp) * 1e-4, strike)
 
     def drop(self, months_to_drop):
         keep = ~np.isin(self.maturities_months, list(months_to_drop))
@@ -160,7 +167,7 @@ def detect_outliers(quotes, window=5, threshold=3.0):
     """
     if window < 1 or window % 2 == 0:
         raise InputError("window must be a positive odd number")
-    if threshold <= 0:
+    if not threshold > 0:
         raise InputError("threshold must be positive")
     vols = quotes.flat_vols
     half = window // 2

@@ -1,23 +1,35 @@
 """Stripping engines: time-value interpolation, bootstrap, global solver.
 
 All engines share one evaluation convention: the vol curve is sampled at
-the caplet fixing times and floored at zero before pricing, so negative
-node values (allowed while solving with positivity 'none') price as zero
-vol. Market cap prices come from the quoted flat vols.
+the caplet fixing times and mapped to pricing vols by a VolMap before
+pricing: floored at zero (or at the positivity floor), so negative node
+values (allowed while solving with positivity 'none') price as zero vol,
+or exponentiated under 'exp'. The node engines sample the curve through a
+CurveBasis, a matrix on the node values built once per solve, and the
+global solver differentiates that map exactly (EvaluationCore). Market
+cap prices come from the quoted flat vols.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import bachelier, diagnostics
 from .term_structures import InputError
-from .vol_interpolation import VolCurve, build_monotone_c2
+from .vol_interpolation import (
+    VolCurve,
+    build_monotone_c2,
+    check_beta,
+    hermite_basis,
+    hyman_slopes,
+)
 
 BRACKET_START = 0.05  # 500 bp
 BRACKET_LIMIT = 100.0  # 1e6 bp
+LOG_VOL_CAP = 3.0  # exp-mode curves are capped here before exponentiating
 
 
 def place_nodes(maturities_months, delta_months=1, placement="maturity", midpoint_unshifted=False):
@@ -71,16 +83,16 @@ class StripConfig:
     max_iter: int = 200
     price_tol_bp: float = 1e-10
     step_tol: float = 1e-14
-    fd_step: float = 1e-7
     lambda_init: float = 1e-3
     lambda_max: float = 1e12
     max_log_step: float = 1.0
 
     def __post_init__(self):
+        check_beta(self.beta)
         if self.positivity not in ("none", "exp", "nonneg", "floor"):
             raise InputError(f"unknown positivity mode {self.positivity!r}")
-        if self.positivity == "floor" and self.floor_bp < 0:
-            raise InputError("floor must be non-negative")
+        if self.positivity == "floor" and not 0.0 <= self.floor_bp < math.inf:
+            raise InputError("floor must be a non-negative number")
 
 
 @dataclass
@@ -116,8 +128,149 @@ class StripResult:
         return float(np.min(self.node_values)) * 1e4
 
 
+@dataclass(frozen=True)
+class VolMap:
+    """Curve values -> pricing vols: the engines' positivity convention.
+
+    Under log the curve interpolates log-vols and is exponentiated, capped
+    at LOG_VOL_CAP first so that no step can overflow; otherwise the curve
+    is floored at `floor` (zero unless positivity is 'floor').
+    """
+
+    log: bool = False
+    floor: float = 0.0
+
+    @classmethod
+    def of(cls, config, method="global"):
+        """The map a result of this engine and configuration was priced with.
+
+        Only the global solver takes the positivity mode; the other engines
+        price the zero-floored curve.
+        """
+        if method != "global":
+            return cls()
+        floor = config.floor_bp * 1e-4 if config.positivity == "floor" else 0.0
+        return cls(log=config.positivity == "exp", floor=floor)
+
+    def __call__(self, curve):
+        if self.log:
+            return np.exp(np.minimum(curve, LOG_VOL_CAP))
+        return np.maximum(curve, self.floor)
+
+    def slope(self, curve, vols):
+        """d(vols)/d(curve), one-sided (zero) where the map is clamped."""
+        if self.log:
+            return vols * (curve < LOG_VOL_CAP)
+        return (curve > self.floor).astype(float)
+
+    def curve_values(self, node_values):
+        """The curve's node values behind reported node values (vols)."""
+        return np.log(node_values) if self.log else np.asarray(node_values, dtype=float)
+
+
+def _linear_in_values(family):
+    return family != "hyman"
+
+
+def _sample(config, delta, taus, values, times):
+    return VolCurve(config.family, taus, values, beta=config.beta, delta=delta)(times)
+
+
+class CurveBasis:
+    """A vol family sampled at fixed times as a matrix on the node values.
+
+    curve(times) = matrix(v) @ v. Every family but hyman is linear in its
+    node values, so its matrix is built once, by evaluating the family on
+    unit node vectors. Hyman is a cubic Hermite spline whose slopes are
+    linear in the values on each clamp set (hyman_slopes), so its matrix
+    A + B @ S(v) is rebuilt per value vector from the fixed Hermite parts.
+    """
+
+    def __init__(self, family, taus, times, beta, delta):
+        self.taus = np.asarray(taus, dtype=float)
+        if _linear_in_values(family):
+            self._matrix = np.column_stack(
+                [
+                    VolCurve(family, self.taus, unit, beta=beta, delta=delta)(times)
+                    for unit in np.eye(len(self.taus))
+                ]
+            )
+        else:
+            self._matrix = None
+            self._hermite = hermite_basis(self.taus, times)
+
+    def matrix(self, values):
+        if self._matrix is not None:
+            return self._matrix
+        values_part, slopes_part = self._hermite
+        return values_part + slopes_part @ hyman_slopes(self.taus, values)[1]
+
+    def __call__(self, values):
+        values = np.asarray(values, dtype=float)
+        return self.matrix(values) @ values
+
+
+class _Point(NamedTuple):
+    matrix: np.ndarray
+    curve: np.ndarray
+    vols: np.ndarray
+    cap_prices: np.ndarray
+
+
+class EvaluationCore:
+    """Node values -> vols at the fixings -> cap prices, for one quote ladder.
+
+    counts are the caplet counts of the caps to price; the curve is sampled
+    at the first counts[-1] fixings through one CurveBasis.
+    """
+
+    def __init__(self, schedule, strike, counts, taus, config, vol_map):
+        self.schedule = schedule
+        self.strike = strike
+        self.counts = counts
+        self.vol_map = vol_map
+        self.basis = CurveBasis(
+            config.family,
+            taus,
+            schedule.fixing_times[: counts[-1]],
+            config.beta,
+            schedule.tenor_months / 12.0,
+        )
+
+    def evaluate(self, x):
+        matrix = self.basis.matrix(x)
+        curve = matrix @ x
+        vols = self.vol_map(curve)
+        cap_prices = _model_cap_prices(self.schedule, self.strike, vols, self.counts)
+        return _Point(matrix, curve, vols, cap_prices)
+
+    def jacobian(self, point):
+        """d(cap prices)/dx = C diag(vega * dvol/dcurve) W at an evaluated point.
+
+        C sums each cap's caplets; exact wherever the hyman clamp set and
+        the vol map's clamps do not switch.
+        """
+        n = self.counts[-1]
+        s = self.schedule
+        vega = bachelier.vega_vector(
+            s.forwards[:n], self.strike, s.fixing_times[:n], s.accruals[:n], s.discounts[:n],
+            point.vols,
+        )
+        weights = vega * self.vol_map.slope(point.curve, point.vols)
+        return np.cumsum(weights[:, None] * point.matrix, axis=0)[self.counts - 1]
+
+
 def _caplet_counts(schedule, quotes):
     return np.array([schedule.caplet_count(m) for m in quotes.maturities_months])
+
+
+def _node_times(schedule, quotes, config):
+    return place_nodes(
+        quotes.maturities_months,
+        schedule.tenor_months,
+        config.placement,
+        config.midpoint_unshifted,
+    )
 
 
 def _model_cap_prices(schedule, strike, vols, counts):
@@ -127,15 +280,10 @@ def _model_cap_prices(schedule, strike, vols, counts):
         schedule.fixing_times[: counts[-1]],
         schedule.accruals[: counts[-1]],
         schedule.discounts[: counts[-1]],
-        vols[: counts[-1]],
-        clamp=True,
+        vols,
     )
     cumulative = np.concatenate(([0.0], np.cumsum(prices)))
     return cumulative[counts]
-
-
-def _curve(config, taus, values, delta):
-    return VolCurve(config.family, taus, values, beta=config.beta, delta=delta)
 
 
 def _finish(method, schedule, quotes, market, taus, values, caplet_vols, config, **kw):
@@ -181,23 +329,31 @@ def bootstrap_sequential(schedule, quotes, config=None):
 
 def _bootstrap(schedule, quotes, config):
     counts = _caplet_counts(schedule, quotes)
-    taus = place_nodes(
-        quotes.maturities_months,
-        schedule.tenor_months,
-        config.placement,
-        config.midpoint_unshifted,
-    )
+    taus = _node_times(schedule, quotes, config)
     market = diagnostics.cap_prices(schedule, quotes)
+    vol_map = VolMap.of(config, "bootstrap")
     delta = schedule.tenor_months / 12.0
     values = []
     clamped = []
     for q in range(len(quotes)):
-        n = counts[q]
-        times = schedule.fixing_times[:n]
+        # cap q alone, on the curve through nodes 0..q
+        node_times, times = taus[: q + 1], schedule.fixing_times[: counts[q]]
+        if _linear_in_values(config.family):
+            # fixed + x * column in the new node's value x
+            fixed = _sample(config, delta, node_times, np.append(values, 0.0), times)
+            column = _sample(config, delta, node_times, np.eye(q + 1)[q], times)
+
+            def curve(x):
+                return fixed + x * column
+
+        else:
+            basis = CurveBasis(config.family, node_times, times, config.beta, delta)
+
+            def curve(x):
+                return basis(np.append(values, x))
 
         def cap_price(x):
-            curve = _curve(config, taus[: q + 1], np.append(values, x), delta)
-            vols = np.maximum(curve(times), 0.0)
+            vols = vol_map(curve(x))
             return _model_cap_prices(schedule, quotes.strike, vols, counts[q : q + 1])[-1]
 
         target = market[q]
@@ -215,8 +371,7 @@ def _bootstrap(schedule, quotes, config):
         values.append(
             brentq(lambda x: cap_price(x) - target, 0.0, hi, xtol=1e-16, rtol=8.9e-16)
         )
-    curve = _curve(config, taus, values, delta)
-    caplet_vols = np.maximum(curve(schedule.fixing_times[: counts[-1]]), 0.0)
+    caplet_vols = vol_map(_sample(config, delta, taus, values, schedule.fixing_times[: counts[-1]]))
     result = _finish(
         "bootstrap",
         schedule,
@@ -236,56 +391,41 @@ def strip_global(schedule, quotes, config=None):
     """Fit all node values at once with damped Gauss-Newton iterations.
 
     Minimizes the sum of squared relative price errors, starting from the
-    sequential bootstrap values. Steps use uniform Levenberg damping
-    scaled by the largest curvature (near-flat directions from fully
-    clamped regions then receive no spurious motion) with a backtracking
-    line search. Positivity modes: 'none', 'exp' (nodes parameterised as
-    exponentials), 'nonneg' (projection onto v >= 0 each accepted step),
-    'floor' (post-solve shift up to floor_bp).
+    sequential bootstrap values, with the exact Jacobian of the evaluation
+    core. Steps use uniform Levenberg damping scaled by the largest
+    curvature (near-flat directions from fully clamped regions then
+    receive no spurious motion) with a backtracking line search.
+    Positivity modes: 'none', 'exp' (nodes parameterised as exponentials),
+    'nonneg' (projection onto v >= 0 each accepted step), 'floor' (the
+    evaluated curve floored at floor_bp throughout, the nodes shifted up
+    to it after the solve).
     """
     config = config or StripConfig()
     counts = _caplet_counts(schedule, quotes)
-    taus = place_nodes(
-        quotes.maturities_months,
-        schedule.tenor_months,
-        config.placement,
-        config.midpoint_unshifted,
-    )
+    taus = _node_times(schedule, quotes, config)
     market = diagnostics.cap_prices(schedule, quotes)
-    delta = schedule.tenor_months / 12.0
-    fixings = schedule.fixing_times[: counts[-1]]
     n = len(taus)
-
-    exp_mode = config.positivity == "exp"
-
-    def vols_at_fixings(x):
-        # under 'exp' the family interpolates log-vols and the curve is
-        # exponentiated, so evaluated vols are positive for every family
-        curve = _curve(config, taus, x, delta)
-        if exp_mode:
-            return np.exp(np.minimum(curve(fixings), 3.0))
-        return np.maximum(curve(fixings), 0.0)
-
-    def residual_of(x):
-        model = _model_cap_prices(schedule, quotes.strike, vols_at_fixings(x), counts)
-        return (model - market) / market
+    vol_map = VolMap.of(config)
+    core = EvaluationCore(schedule, quotes.strike, counts, taus, config, vol_map)
 
     # linear-family bootstrap start: family-neutral and free of the spline
     # overshoot a same-family start can bake into the frozen directions
     init_family = "flat" if config.family == "flat" else "linear"
     init = _bootstrap(schedule, quotes, replace(config, family=init_family)).node_values
-    if exp_mode:
+    if vol_map.log:
+        # under 'exp' the family interpolates log-vols
         x = np.log(np.maximum(init, 1e-4))
         lambda_min = 1e-3  # holds dead log-space directions in place
     else:
         x = init.copy()
         lambda_min = 1e-12
 
-    def cost_of(x):
-        r = residual_of(x)
-        return r, float(r @ r)
+    def evaluate(x):
+        point = core.evaluate(x)
+        r = (point.cap_prices - market) / market
+        return point, r, float(r @ r)
 
-    r, cost = cost_of(x)
+    point, r, cost = evaluate(x)
     lam = config.lambda_init
     converged = False
     iterations = 0
@@ -294,18 +434,14 @@ def strip_global(schedule, quotes, config=None):
         if np.max(np.abs(r * market)) * 1e4 <= config.price_tol_bp:
             converged = True
             break
-        jac = np.empty((len(r), n))
-        for k in range(n):
-            bumped = x.copy()
-            bumped[k] += config.fd_step
-            jac[:, k] = (residual_of(bumped) - r) / config.fd_step
+        jac = core.jacobian(point) / market[:, None]
         gram = jac.T @ jac
         gradient = jac.T @ r
         damping = np.eye(n) * max(np.max(np.diag(gram)), 1e-300)
         moved = False
         while lam <= config.lambda_max:
             step = np.linalg.solve(gram + lam * damping, -gradient)
-            if exp_mode:
+            if vol_map.log:
                 widest = np.max(np.abs(step))
                 if widest > config.max_log_step:
                     step *= config.max_log_step / widest
@@ -314,14 +450,14 @@ def strip_global(schedule, quotes, config=None):
                 candidate = x + scale * step
                 if config.positivity == "nonneg":
                     candidate = np.maximum(candidate, 0.0)
-                r_new, cost_new = cost_of(candidate)
+                point_new, r_new, cost_new = evaluate(candidate)
                 if cost_new <= cost * (1.0 - 1e-15):
                     moved = True
                     break
                 scale *= 0.5
             if moved:
                 step_size = np.max(np.abs(candidate - x) / np.maximum(1.0, np.abs(x)))
-                x, r, cost = candidate, r_new, cost_new
+                x, point, r, cost = candidate, point_new, r_new, cost_new
                 lam = max(lam / 10.0, lambda_min)
                 if step_size <= config.step_tol:
                     converged = True
@@ -332,9 +468,9 @@ def strip_global(schedule, quotes, config=None):
             break
 
     if config.positivity == "floor":
-        x = np.maximum(x, config.floor_bp * 1e-4)
-    caplet_vols = vols_at_fixings(x)
-    values = np.exp(np.minimum(x, 3.0)) if exp_mode else x
+        x = vol_map(x)  # the nodes take the floor too
+        point = core.evaluate(x)
+    values = vol_map(x) if vol_map.log else x
     return _finish(
         "global",
         schedule,
@@ -342,7 +478,7 @@ def strip_global(schedule, quotes, config=None):
         market,
         taus,
         values,
-        caplet_vols,
+        point.vols,
         config,
         converged=converged,
         iterations=iterations,
@@ -440,25 +576,14 @@ def strip_time_value(
         )
         caplet_vols[i] = bachelier.implied_vol(terms, target)
 
-    prices = bachelier.price_vector(
-        schedule.forwards[:n],
-        kept.strike,
-        schedule.fixing_times[:n],
-        schedule.accruals[:n],
-        schedule.discounts[:n],
+    return _finish(
+        "tv",
+        schedule,
+        kept,
+        market,
+        months / 12.0,
+        tv,
         caplet_vols,
-    )
-    cumulative = np.concatenate(([0.0], np.cumsum(prices)))
-    model = cumulative[counts]
-    return StripResult(
-        method="tv",
-        quote_months=kept.maturities_months.copy(),
-        market_prices_bp=market * 1e4,
-        residuals_bp=(model - market) * 1e4,
-        node_times=months / 12.0,
-        node_values=tv,
-        caplet_times=schedule.fixing_times[:n],
-        caplet_vols=caplet_vols,
+        config,
         removed_months=removed,
-        config=config,
     )

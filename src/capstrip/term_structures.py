@@ -65,6 +65,8 @@ class ZeroCurve:
             raise InputError("pillar months and rates must be 1-d arrays of equal length")
         if len(months) < 2:
             raise InputError("need at least two pillars")
+        if not (np.all(np.isfinite(months)) and np.all(np.isfinite(rates))):
+            raise InputError("pillar months and rates must be finite")
         if np.any(np.diff(months) <= 0):
             raise InputError("pillar months must be strictly increasing")
         if interp not in ("loglinear", "cubic"):

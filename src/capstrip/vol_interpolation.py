@@ -44,6 +44,12 @@ def _check_nodes(taus, vols):
     return taus, vols
 
 
+def check_beta(beta):
+    """The kernel ramp width, as a fraction of the tenor, lies in [0, 1]."""
+    if not 0.0 <= beta <= 1.0:
+        raise InputError("beta must lie in [0, 1]")
+
+
 def eval_piecewise_constant(taus, vols, t):
     """Step-forward curve: sigma(t) = v_k on (tau_{k-1}, tau_k]."""
     taus, vols = _check_nodes(taus, vols)
@@ -59,8 +65,7 @@ def eval_kernel(taus, vols, kernel, beta, delta, t):
     clipped to the cell. beta = 0 degenerates to a step at c_k.
     """
     taus, vols = _check_nodes(taus, vols)
-    if not 0.0 <= beta <= 1.0:
-        raise InputError("beta must lie in [0, 1]")
+    check_beta(beta)
     t = np.asarray(t, dtype=float)
     out = np.full(t.shape, vols[0])
     half = 0.5 * beta * delta
@@ -135,33 +140,81 @@ def build_monotone_c2(x, f):
     return _clamped_hermite(x, f, d)
 
 
-def build_hyman_nonneg_c1(x, f):
-    """C1 cubic that stays non-negative wherever the node values are.
+def hermite_basis(x, t):
+    """Matrices (A, B) with hermite(t) = A @ f + B @ d.
+
+    The cubic Hermite interpolant through node values f with node slopes d
+    is linear in both; its flat extrapolation clamps t to the node range.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.clip(np.asarray(t, dtype=float), x[0], x[-1])
+    n = len(x)
+    a = np.zeros((len(t), n))
+    b = np.zeros((len(t), n))
+    if n == 1:
+        a[:, 0] = 1.0
+        return a, b
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+    h = x[k + 1] - x[k]
+    u = (t - x[k]) / h
+    rows = np.arange(len(t))
+    a[rows, k] = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+    a[rows, k + 1] = u * u * (3.0 - 2.0 * u)
+    b[rows, k] = h * u * (1.0 - u) ** 2
+    b[rows, k + 1] = h * u * u * (u - 1.0)
+    return a, b
+
+
+def hyman_slopes(x, f):
+    """Node slopes (d, S) of the non-negative Hyman spline, with d = S @ f.
 
     Bessel (parabolic) interior slopes, d_1 = s_1 and a flat right end,
     then the non-negativity clamp: d_k = 0 when f_k <= 0, otherwise
-    d_k <= 3 f_k / h_{k-1} and d_k >= -3 f_k / h_k. Flat extrapolation
-    outside the node range.
+    d_k <= 3 f_k / h_{k-1} and d_k >= -3 f_k / h_k. S is the linear map
+    of the active clamp set: row k is the Bessel (or secant) row, a zero
+    row (flat right end, or f_k <= 0), or +-3/h e_k where a bound binds,
+    so the spline is linear in f for as long as the clamp set holds.
     """
-    x, f = _check_nodes(x, f)
     n = len(x)
+    d = np.zeros(n)
+    slope_map = np.zeros((n, n))
     if n == 1:
-        return lambda t: np.full(np.shape(np.asarray(t, dtype=float)), f[0])
+        return d, slope_map
     h = np.diff(x)
     s = np.diff(f) / h
-    d = np.empty(n)
     d[0] = s[0]
+    slope_map[0, :2] = -1.0 / h[0], 1.0 / h[0]
     for k in range(1, n - 1):
-        d[k] = (h[k] * s[k - 1] + h[k - 1] * s[k]) / (h[k - 1] + h[k])
-    d[n - 1] = 0.0
+        width = h[k - 1] + h[k]
+        d[k] = (h[k] * s[k - 1] + h[k - 1] * s[k]) / width
+        left = -h[k] / (h[k - 1] * width)
+        right = h[k - 1] / (h[k] * width)
+        slope_map[k, k - 1 : k + 2] = left, -(left + right), right
     for k in range(n):
         if f[k] <= 0.0:
             d[k] = 0.0
+            slope_map[k] = 0.0
             continue
-        if k > 0:
-            d[k] = min(d[k], 3.0 * f[k] / h[k - 1])
-        if k < n - 1:
-            d[k] = max(d[k], -3.0 * f[k] / h[k])
+        if k > 0 and d[k] > 3.0 * f[k] / h[k - 1]:
+            d[k] = 3.0 * f[k] / h[k - 1]
+            slope_map[k] = 0.0
+            slope_map[k, k] = 3.0 / h[k - 1]
+        if k < n - 1 and d[k] < -3.0 * f[k] / h[k]:
+            d[k] = -3.0 * f[k] / h[k]
+            slope_map[k] = 0.0
+            slope_map[k, k] = -3.0 / h[k]
+    return d, slope_map
+
+
+def build_hyman_nonneg_c1(x, f):
+    """C1 cubic that stays non-negative wherever the node values are.
+
+    Slopes from hyman_slopes; flat extrapolation outside the node range.
+    """
+    x, f = _check_nodes(x, f)
+    if len(x) == 1:
+        return lambda t: np.full(np.shape(np.asarray(t, dtype=float)), f[0])
+    d, _ = hyman_slopes(x, f)
     return _clamped_hermite(x, f, d)
 
 

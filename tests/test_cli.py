@@ -9,10 +9,19 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from capstrip.cli import RunConfig, main, run_pipeline
+from capstrip import (
+    CapQuoteSet,
+    StripConfig,
+    ZeroCurve,
+    bootstrap_sequential,
+    build_schedule,
+    strip_global,
+)
+from capstrip.cli import RunConfig, evaluated_curve, main, run_pipeline
 
 DATA = Path(__file__).parent / "data"
 ARTIFACTS = ("diagnostics.csv", "outliers.csv", "strip.csv", "strip.json", "volcurve_daily.csv")
@@ -263,3 +272,79 @@ def test_compare_writes_the_table(tmp_path):
     assert table[0].split()[:2] == ["method", "min"]
     floored = dict(zip(labels, (line.split(",")[2] for line in lines[1:])))
     assert float(floored["hyman mid floor=10"]) == pytest.approx(10.0, abs=1e-6)
+
+
+def _assert_rejected(result, out):
+    assert result.exit_code == 1, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("bad_row", ["12,nan", "12,-5", "12,inf", "nan,70"])
+def test_non_finite_or_negative_quotes_are_rejected(tmp_path, bad_row):
+    rows = (DATA / "cap_quotes.csv").read_text().splitlines()
+    rows = [bad_row if row.startswith("12,") else row for row in rows]
+    bad = tmp_path / "quotes.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    result = _invoke([
+        "run",
+        "--projection-curve", str(DATA / "libor1m_zero_curve.csv"),
+        "--discount-curve", str(DATA / "ois_zero_curve.csv"),
+        "--quotes", str(bad),
+        "--out", str(out),
+    ])
+    _assert_rejected(result, out)
+
+
+def test_non_finite_curve_rate_is_rejected(tmp_path):
+    rows = (DATA / "libor1m_zero_curve.csv").read_text().splitlines()
+    rows = ["12,nan" if row.startswith("12,") else row for row in rows]
+    bad = tmp_path / "libor.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    result = _invoke([
+        "run",
+        "--projection-curve", str(bad),
+        "--discount-curve", str(DATA / "ois_zero_curve.csv"),
+        "--quotes", str(DATA / "cap_quotes.csv"),
+        "--out", str(out),
+    ])
+    _assert_rejected(result, out)
+
+
+@pytest.mark.parametrize(
+    "flags,word",
+    [
+        (["--family", "cosine", "--beta", "2"], "beta"),
+        (["--mad-threshold", "nan"], "MAD"),
+        (["--positivity", "floor=nan"], "floor"),
+        (["--strike-bp", "nan"], "strike"),
+    ],
+)
+def test_out_of_range_flag_writes_nothing(tmp_path, flags, word):
+    out = tmp_path / "out"
+    result = _invoke(["run", *_market_args(), *flags, "--out", str(out)])
+    _assert_rejected(result, out)
+    assert word in result.stderr
+
+
+@pytest.mark.parametrize(
+    "method,config",
+    [
+        ("bootstrap", StripConfig(family="linear", positivity="exp")),
+        ("global", StripConfig(family="linear", placement="mid", positivity="exp")),
+        ("global", StripConfig(family="hyman", placement="mid", positivity="floor", floor_bp=10.0)),
+        ("global", StripConfig(family="cubic", placement="mid")),
+    ],
+)
+def test_evaluated_curve_is_the_priced_curve(method, config):
+    forward = ZeroCurve.from_csv(DATA / "libor1m_zero_curve.csv")
+    discount = ZeroCurve.from_csv(DATA / "ois_zero_curve.csv")
+    quotes = CapQuoteSet.from_csv(DATA / "cap_quotes.csv")
+    schedule = build_schedule(forward, discount, 180)
+    engine = bootstrap_sequential if method == "bootstrap" else strip_global
+    result = engine(schedule, quotes, config)
+    sampled = evaluated_curve(result)(result.caplet_times)
+    np.testing.assert_allclose(sampled, result.caplet_vols, rtol=1e-12, atol=1e-18)

@@ -76,6 +76,8 @@ def test_outlier_parameter_validation(quotes):
         cs.detect_outliers(quotes, window=4)
     with pytest.raises(cs.InputError):
         cs.detect_outliers(quotes, threshold=0.0)
+    with pytest.raises(cs.InputError):
+        cs.detect_outliers(quotes, threshold=float("nan"))
 
 
 def test_cap_price_matches_caplet_sum(schedule, quotes):
@@ -101,3 +103,8 @@ def test_quote_set_validation():
         cs.CapQuoteSet([1, 2], [0.01, 0.01])
     with pytest.raises(cs.InputError):
         cs.CapQuoteSet([2, 3], [0.01])
+    for bad in (float("nan"), float("inf"), -0.0005):
+        with pytest.raises(cs.InputError):
+            cs.CapQuoteSet([2, 3], [0.01, bad])
+    with pytest.raises(cs.InputError):
+        cs.CapQuoteSet([2, 3], [0.01, 0.01], strike=float("nan"))

@@ -3,6 +3,9 @@ import pytest
 from scipy.optimize import brentq
 
 import capstrip as cs
+from capstrip.cli import _STANDARD_ROWS, compare_methods
+from capstrip.stripping import CurveBasis, EvaluationCore, VolMap
+from capstrip.vol_interpolation import hyman_slopes
 
 
 def _counts(schedule, months):
@@ -262,6 +265,11 @@ def test_config_validation():
         cs.StripConfig(positivity="clip")
     with pytest.raises(cs.InputError):
         cs.StripConfig(positivity="floor", floor_bp=-1.0)
+    with pytest.raises(cs.InputError):
+        cs.StripConfig(positivity="floor", floor_bp=float("nan"))
+    for beta in (-0.1, 1.5, float("nan")):
+        with pytest.raises(cs.InputError):
+            cs.StripConfig(family="cosine", beta=beta)
 
 
 def test_unknown_family_rejected(schedule, clean_quotes):
@@ -312,3 +320,95 @@ def test_increment_weights_average_near_half(schedule):
     inside = (fixings_months >= 12.0) & (fixings_months < 24.0)
     weights = (fixings_months[inside] - 12.0) / 12.0
     assert 0.45 <= float(np.mean(weights)) <= 0.60
+
+
+def _fixture_nodes(quotes):
+    return cs.place_nodes(quotes.maturities_months, 1, "mid")
+
+
+# node value sets for the hyman clamp set: none active, upper bounds active
+# (sharp rises after small nodes), lower bounds active (sharp drops), and
+# zero or negative nodes pinning their slopes
+HYMAN_NODE_SETS = (
+    np.linspace(60.0, 90.0, 13),
+    np.array([1, 2, 100, 101, 3, 4, 120, 121, 122, 5, 6, 130, 131], dtype=float),
+    np.array([100, 2, 95, 1, 90, 80, 4, 70, 3, 60, 50, 1, 40], dtype=float),
+    np.array([0, 80, -10, 70, 0, 60, 90, -5, 75, 0, 65, 55, 0], dtype=float),
+)
+
+
+@pytest.mark.parametrize("family", cs.FAMILIES)
+def test_curve_basis_reproduces_the_family(schedule, quotes, family):
+    taus = _fixture_nodes(quotes)
+    fixings = schedule.fixing_times
+    basis = CurveBasis(family, taus, fixings, 0.5, 1.0 / 12.0)
+    rng = np.random.default_rng(11)
+    node_sets = [rng.uniform(-20.0, 150.0, len(taus)) for _ in range(20)]
+    if family == "hyman":
+        node_sets += list(HYMAN_NODE_SETS)
+    for values in node_sets:
+        values = values * 1e-4
+        expected = cs.VolCurve(family, taus, values, beta=0.5, delta=1.0 / 12.0)(fixings)
+        worst = np.max(np.abs(basis(values) - expected))
+        assert worst <= 1e-14 * np.max(np.abs(expected)), family
+
+
+def test_hyman_slope_map_covers_every_clamp_kind(quotes):
+    taus = _fixture_nodes(quotes)
+    kinds = set()
+    for values in HYMAN_NODE_SETS:
+        slopes, slope_map = hyman_slopes(taus, values * 1e-4)
+        np.testing.assert_allclose(slope_map @ (values * 1e-4), slopes, rtol=1e-13, atol=1e-18)
+        for k, row in enumerate(slope_map):
+            if not row.any():
+                kinds.add("zero")
+            elif np.count_nonzero(row) == 1 and k not in (0, len(taus) - 1):
+                kinds.add("upper" if row[k] > 0 else "lower")
+    assert kinds == {"zero", "upper", "lower"}
+
+
+@pytest.mark.parametrize("family", ["linear", "cubic", "hyman"])
+@pytest.mark.parametrize("positivity", ["none", "nonneg", "exp"])
+def test_core_jacobian_matches_central_differences(schedule, clean_quotes, family, positivity):
+    config = cs.StripConfig(family=family, placement="mid", positivity=positivity)
+    counts = _counts(schedule, clean_quotes.maturities_months)
+    taus = _fixture_nodes(clean_quotes)
+    core = EvaluationCore(schedule, 0.0, counts, taus, config, VolMap.of(config))
+    # positive nodes keep the curve off the zero floor; for hyman, points
+    # inside a clamp set with no bound active, and with an upper and a
+    # lower bound active (nodes 1 and 4)
+    node_sets = [70.0 + 8.0 * np.sin(np.arange(len(taus)))]
+    if family == "hyman":
+        node_sets.append(np.array([40, 10, 300, 310, 20, 250, 240, 260, 30, 200, 210.0]))
+    for values in node_sets:
+        x = np.log(values * 1e-4) if positivity == "exp" else values * 1e-4
+        jacobian = core.jacobian(core.evaluate(x))
+        h = 1e-5 * np.max(np.abs(x))
+        for k in range(len(x)):
+            bump = np.zeros(len(x))
+            bump[k] = h
+            up = core.evaluate(x + bump).cap_prices
+            down = core.evaluate(x - bump).cap_prices
+            central = (up - down) / (2.0 * h)
+            scale = np.max(np.abs(central))
+            assert scale > 0.0
+            np.testing.assert_allclose(jacobian[:, k], central, rtol=0, atol=1e-5 * scale)
+
+
+@pytest.mark.parametrize("family", ["linear", "cubic", "hyman"])
+@pytest.mark.parametrize("positivity", ["none", "nonneg", "exp", "floor"])
+def test_clean_global_rows_reprice(schedule, clean_quotes, family, positivity):
+    config = cs.StripConfig(
+        family=family, placement="mid", positivity=positivity, floor_bp=10.0
+    )
+    result = cs.strip_global(schedule, clean_quotes, config)
+    assert result.converged
+    assert result.max_abs_residual_bp <= 1e-10
+
+
+def test_floor_applies_to_the_evaluated_curve(schedule, quotes):
+    label, _, kwargs = next(row for row in _STANDARD_ROWS if row[0] == "hyman mid floor=10")
+    rows = compare_methods(schedule, quotes, [(label, "global", cs.StripConfig(**kwargs))])
+    _, min_vol_bp, min_node_bp, _ = rows[0]
+    assert min_vol_bp >= 10.0
+    assert min_node_bp == pytest.approx(10.0, abs=1e-9)

@@ -76,6 +76,10 @@ def test_curve_validation_errors():
         cs.ZeroCurve([1.0, 1.0], [0.01, 0.01])
     with pytest.raises(cs.InputError):
         cs.ZeroCurve(PILLAR_MONTHS, PILLAR_RATES, interp="quartic")
+    with pytest.raises(cs.InputError):
+        cs.ZeroCurve([1.0, 2.0], [0.01, float("nan")])
+    with pytest.raises(cs.InputError):
+        cs.ZeroCurve([1.0, float("inf")], [0.01, 0.01])
 
 
 def test_malformed_csv_names_location(tmp_path):
