@@ -21,7 +21,6 @@ from .diagnostics import (
     decompose,
     detect_outliers,
     remove_outliers,
-    total_variance_check,
 )
 from .stripping import (
     StripConfig,
@@ -70,7 +69,6 @@ __all__ = [
     "strip_global",
     "strip_time_value",
     "time_value",
-    "total_variance_check",
     "vega",
     "vega_vector",
 ]

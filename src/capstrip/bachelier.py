@@ -27,6 +27,8 @@ from scipy.special import erfcx
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / _SQRT_2PI
 _SQRT_2 = math.sqrt(2.0)
+_BRACKET_DOUBLINGS = 200
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -126,84 +128,116 @@ def time_value(inputs, vol):
 def vega(inputs, vol):
     if vol < 0.0:
         raise ValueError("vol must be non-negative")
-    root_t = math.sqrt(inputs.expiry)
-    s = vol * root_t
-    if s <= 0.0:
-        # limit only finite at the money
-        return inputs.discount * inputs.accrual * root_t / _SQRT_2PI \
-            if inputs.forward == inputs.strike else 0.0
-    d = (inputs.forward - inputs.strike) / s
-    return inputs.discount * inputs.accrual * root_t * float(_phi(d))
+    return float(
+        vega_vector(
+            inputs.forward,
+            inputs.strike,
+            inputs.expiry,
+            inputs.accrual,
+            inputs.discount,
+            vol,
+        )
+    )
 
 
-def implied_vol(inputs, target_price, max_iter=100):
-    """Invert the caplet price for the normal vol.
+def implied_vol(inputs, target_price):
+    """Invert one caplet price for the normal vol; see implied_vol_vector."""
+    return float(
+        implied_vol_vector(
+            [inputs.forward],
+            inputs.strike,
+            [inputs.expiry],
+            [inputs.accrual],
+            [inputs.discount],
+            [target_price],
+        )[0]
+    )
+
+
+def implied_vol_vector(forwards, strike, expiries, accruals, discounts, targets):
+    """Invert caplet prices (1-d arrays, one strike) for their normal vols.
 
     Works on the time value, whose scaled closed form avoids the
     cancellation against intrinsic that kills the in-the-money tail.
     Safeguarded Newton on the log residual, with bisection in log vol
     whenever the step leaves the bracket, so convergence stays fast even
     where the target spans hundreds of orders of magnitude out of the
-    money. Recovers the vol as sharply as the float64 price mapping
-    allows. Raises NegativeTimeValueError when the target is below
-    intrinsic; returns 0 at intrinsic.
+    money. Every element runs its own iteration; finished elements drop
+    out of the active set. Recovers each vol as sharply as the float64
+    price mapping allows. Raises NegativeTimeValueError when a target is
+    below intrinsic; returns 0 at intrinsic.
     """
-    base = inputs.discount * inputs.accrual
-    if base <= 0.0 or inputs.expiry <= 0.0:
+    forwards, expiries, accruals, discounts, targets = (
+        np.asarray(a, dtype=float) for a in (forwards, expiries, accruals, discounts, targets)
+    )
+    base = discounts * accruals
+    if np.any(base <= 0.0) or np.any(expiries <= 0.0):
         raise ValueError("need positive discount, accrual and expiry")
-    intrinsic = base * max(inputs.forward - inputs.strike, 0.0)
-    scale = max(abs(target_price), intrinsic, 1e-300)
-    if target_price < intrinsic - 1e-14 * scale:
-        raise NegativeTimeValueError(intrinsic - target_price)
-    if target_price <= intrinsic:
-        return 0.0
+    moneyness = forwards - strike
+    intrinsic = base * np.maximum(moneyness, 0.0)
+    scale = np.maximum(np.maximum(np.abs(targets), intrinsic), 1e-300)
+    below = targets < intrinsic - 1e-14 * scale
+    if np.any(below):
+        raise NegativeTimeValueError(float((intrinsic - targets)[below][0]))
 
-    root_t = math.sqrt(inputs.expiry)
-    if inputs.forward == inputs.strike:
-        return target_price * _SQRT_2PI / (base * root_t)
+    vols = np.zeros(len(targets))
+    root_t = np.sqrt(expiries)
+    live = targets > intrinsic
+    atm = live & (moneyness == 0.0)
+    vols[atm] = targets[atm] * _SQRT_2PI / (base[atm] * root_t[atm])
+    solve = np.flatnonzero(live & ~atm)
+    vols[solve] = _newton(
+        forwards[solve], strike, expiries[solve], accruals[solve], discounts[solve],
+        targets[solve] - intrinsic[solve],
+    )
+    return vols
 
-    abs_m = abs(inputs.forward - inputs.strike)
-    target_tv = target_price - intrinsic
-    log_target = math.log(target_tv)
 
-    def time_value_of(sigma):
-        return base * float(_time_value_core(sigma * root_t, abs_m))
+def _newton(forwards, strike, expiries, accruals, discounts, target_tv):
+    """implied_vol_vector away from the money, for time values target_tv > 0."""
+    base = discounts * accruals
+    root_t = np.sqrt(expiries)
+    abs_m = np.abs(forwards - strike)
+    log_target = np.log(target_tv)
+
+    def time_value_of(sigma, k):
+        return base[k] * _time_value_core(sigma * root_t[k], abs_m[k])
 
     # the ATM time value majorizes every other moneyness at equal vol,
     # so the ATM inversion is a lower bound for the root
-    sigma_atm = target_tv * _SQRT_2PI / (base * root_t)
-    lo = sigma_atm
-    hi = max(2.0 * sigma_atm, 1e-4)
-    for _ in range(200):
-        if time_value_of(hi) >= target_tv:
+    lo = target_tv * _SQRT_2PI / (base * root_t)
+    hi = np.maximum(2.0 * lo, 1e-4)
+    short = np.arange(len(target_tv))
+    for _ in range(_BRACKET_DOUBLINGS):
+        short = short[time_value_of(hi[short], short) < target_tv[short]]
+        if short.size == 0:
             break
-        lo = hi
-        hi *= 2.0
+        lo[short] = hi[short]
+        hi[short] *= 2.0
     else:
         raise ValueError("implied vol bracket expansion failed")
 
-    sigma = math.sqrt(lo * hi)
-    for _ in range(max_iter):
-        tv_val = time_value_of(sigma)
-        if tv_val == target_tv:
-            return sigma
-        if tv_val > target_tv:
-            hi = sigma
-        else:
-            lo = sigma
-        slope = vega(inputs, sigma)
-        if tv_val > 0.0 and slope > 0.0:
-            step = (math.log(tv_val) - log_target) * tv_val / slope
-            candidate = sigma - step
-        else:
-            # time value underflowed: sigma is far below the root
-            step = math.inf
-            candidate = math.sqrt(lo * hi)
-        if abs(step) <= 1e-15 * sigma:
-            return sigma
-        if not lo < candidate < hi:
-            candidate = math.sqrt(lo * hi)
-        if candidate == sigma:
-            return sigma
-        sigma = candidate
+    sigma = np.sqrt(lo * hi)
+    k = np.arange(len(target_tv))
+    for _ in range(_NEWTON_MAX_ITER):
+        s = sigma[k]
+        tv_val = time_value_of(s, k)
+        above = tv_val > target_tv[k]
+        hi[k] = np.where(above, s, hi[k])
+        lo[k] = np.where(above, lo[k], s)
+        slope = vega_vector(forwards[k], strike, expiries[k], accruals[k], discounts[k], s)
+        # where the time value underflowed, sigma is far below the root: bisect
+        newton = (tv_val > 0.0) & (slope > 0.0)
+        safe_tv = np.where(newton, tv_val, 1.0)
+        step = np.where(
+            newton, (np.log(safe_tv) - log_target[k]) * safe_tv / np.where(newton, slope, 1.0), np.inf
+        )
+        midpoint = np.sqrt(lo[k] * hi[k])
+        candidate = np.where(newton, s - step, midpoint)
+        candidate = np.where((lo[k] < candidate) & (candidate < hi[k]), candidate, midpoint)
+        done = (tv_val == target_tv[k]) | (np.abs(step) <= 1e-15 * s) | (candidate == s)
+        sigma[k] = np.where(done, s, candidate)
+        k = k[~done]
+        if k.size == 0:
+            break
     return sigma

@@ -79,6 +79,10 @@ class RunConfig:
             raise InputError(f"unknown vol family {self.family!r}")
         if self.nodes not in _NODE_CHOICES:
             raise InputError("nodes must be 'maturity' or 'mid'")
+        if self.positivity != "none" and self.method != "global":
+            raise InputError(
+                f"positivity {self.positivity!r} needs --method global; got {self.method!r}"
+            )
         if self.outliers not in _OUTLIER_POLICIES:
             raise InputError(f"outlier policy must be one of {_OUTLIER_POLICIES}")
         if not self.mad_threshold > 0.0:
@@ -197,6 +201,15 @@ def _write_files(out, files):
         (out / name).write_text(text)
 
 
+def _load_market(config):
+    """The run's caplet schedule, out to its last quote or far quote, and its quotes."""
+    forward = ZeroCurve.from_csv(config.projection_curve, interp=config.curve_interp)
+    discount = ZeroCurve.from_csv(config.discount_curve, interp=config.curve_interp)
+    quotes = CapQuoteSet.from_csv(config.quotes, strike=config.strike_bp * 1e-4)
+    max_months = max(int(quotes.maturities_months[-1]), config.far_quote_months)
+    return build_schedule(forward, discount, max_months, config.tenor_months), quotes
+
+
 def run_pipeline(config):
     """Diagnose, apply the outlier policy, strip, and write artifacts.
 
@@ -204,9 +217,7 @@ def run_pipeline(config):
     command wrapper maps those to exit 1 without partial outputs: every
     result and artifact text is computed before the first file is written.
     """
-    forward = ZeroCurve.from_csv(config.projection_curve, interp=config.curve_interp)
-    discount = ZeroCurve.from_csv(config.discount_curve, interp=config.curve_interp)
-    quotes = CapQuoteSet.from_csv(config.quotes, strike=config.strike_bp * 1e-4)
+    schedule, quotes = _load_market(config)
     strip_cfg = StripConfig(
         family=config.family,
         placement=config.nodes,
@@ -214,11 +225,6 @@ def run_pipeline(config):
         positivity=config.positivity,
         floor_bp=config.floor_bp,
     )
-
-    max_months = int(quotes.maturities_months[-1])
-    if config.far_quote_months:
-        max_months = max(max_months, config.far_quote_months)
-    schedule = build_schedule(forward, discount, max_months, config.tenor_months)
 
     out = Path(config.out_dir)
     report = decompose(schedule, quotes)
@@ -296,14 +302,6 @@ def compare_methods(schedule, quotes, configs=None):
             result = strip_global(schedule, quotes, cfg)
         rows.append((label, result.min_caplet_vol_bp, result.min_node_bp, result.max_rel_error))
     return rows
-
-
-def _load_market(projection_curve, discount_curve, quotes_path, strike_bp, tenor_months, curve_interp):
-    forward = ZeroCurve.from_csv(projection_curve, interp=curve_interp)
-    discount = ZeroCurve.from_csv(discount_curve, interp=curve_interp)
-    quotes = CapQuoteSet.from_csv(quotes_path, strike=strike_bp * 1e-4)
-    schedule = build_schedule(forward, discount, int(quotes.maturities_months[-1]), tenor_months)
-    return schedule, quotes
 
 
 def _parse_positivity(text):
@@ -477,12 +475,14 @@ def compare(ctx, **values):
     try:
         _require_paths(values)
         schedule, quotes = _load_market(
-            values["projection_curve"],
-            values["discount_curve"],
-            values["quotes"],
-            float(values["strike_bp"]),
-            int(values["tenor_months"]),
-            values["curve_interp"],
+            RunConfig(
+                projection_curve=values["projection_curve"],
+                discount_curve=values["discount_curve"],
+                quotes=values["quotes"],
+                strike_bp=float(values["strike_bp"]),
+                tenor_months=int(values["tenor_months"]),
+                curve_interp=values["curve_interp"],
+            )
         )
         rows = compare_methods(schedule, quotes)
         lines = ["method,min_vol_bp,min_node_bp,reprice_err"]

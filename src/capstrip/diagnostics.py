@@ -106,23 +106,17 @@ def decompose(schedule, quotes):
     Violations are maturities whose price or time value falls below the
     previous quote's (impossible under non-negative caplet vols).
     """
-    n_caps = len(quotes)
-    price = np.empty(n_caps)
-    intrinsic = np.empty(n_caps)
-    for q in range(n_caps):
-        months = quotes.maturities_months[q]
-        n = schedule.caplet_count(months)
-        price[q] = cap_price_from_flat_vol(schedule, months, quotes.flat_vols[q], quotes.strike)
-        intrinsic[q] = float(
-            np.sum(
-                bachelier.intrinsic_vector(
-                    schedule.forwards[:n],
-                    quotes.strike,
-                    schedule.accruals[:n],
-                    schedule.discounts[:n],
-                )
-            )
-        )
+    price = cap_prices(schedule, quotes)
+    counts = [schedule.caplet_count(m) for m in quotes.maturities_months]
+    caplets = bachelier.intrinsic_vector(
+        schedule.forwards[: counts[-1]],
+        quotes.strike,
+        schedule.accruals[: counts[-1]],
+        schedule.discounts[: counts[-1]],
+    )
+    # np.sum per cap, as cap_prices sums: a cumulative sum adds in another
+    # order and moves the time values the tv engine writes in their last bits
+    intrinsic = np.array([np.sum(caplets[:n]) for n in counts])
     tv = price - intrinsic
     d_price = np.diff(price, prepend=0.0)
     d_intrinsic = np.diff(intrinsic, prepend=0.0)
@@ -139,13 +133,6 @@ def decompose(schedule, quotes):
         dTV_bp=d_tv * 1e4,
         violations=[int(m) for m in quotes.maturities_months[bad]],
     )
-
-
-def total_variance_check(quotes):
-    """Maturities where flat-vol total variance decreases from the previous quote."""
-    variance = quotes.flat_vols ** 2 * quotes.maturities_months
-    bad = np.diff(variance) < 0.0
-    return [int(m) for m in quotes.maturities_months[1:][bad]]
 
 
 @dataclass

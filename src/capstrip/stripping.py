@@ -30,15 +30,19 @@ from .vol_interpolation import (
 BRACKET_START = 0.05  # 500 bp
 BRACKET_LIMIT = 100.0  # 1e6 bp
 LOG_VOL_CAP = 3.0  # exp-mode curves are capped here before exponentiating
+PRICE_TOL_BP = 1e-10  # a quote is repriced when its residual is within this
+STEP_TOL = 1e-14  # global solver: smallest relative step that continues
+LAMBDA_INIT = 1e-3  # global solver: first Levenberg damping factor
+LAMBDA_MAX = 1e12  # global solver: damping at which a step search gives up
+MAX_LOG_STEP = 1.0  # global solver under exp: widest step in log-vol
 
 
-def place_nodes(maturities_months, delta_months=1, placement="maturity", midpoint_unshifted=False):
+def place_nodes(maturities_months, delta_months=1, placement="maturity"):
     """Node times (years) for a quote ladder.
 
     'maturity' puts tau_k at the last fixing of cap k (T_k - delta).
     'mid' keeps tau_1 there and centres later nodes between consecutive
-    maturities, shifted back by delta; midpoint_unshifted drops that shift
-    on the interior nodes (compat variant).
+    maturities, shifted back by delta.
     """
     months = np.asarray(maturities_months, dtype=float)
     if np.any(np.diff(months) <= 0):
@@ -46,9 +50,8 @@ def place_nodes(maturities_months, delta_months=1, placement="maturity", midpoin
     if placement == "maturity":
         nodes = months - delta_months
     elif placement == "mid":
-        shift = 0.0 if midpoint_unshifted else delta_months
         nodes = np.concatenate(
-            ([months[0] - delta_months], 0.5 * (months[:-1] + months[1:]) - shift)
+            ([months[0] - delta_months], 0.5 * (months[:-1] + months[1:]) - delta_months)
         )
     else:
         raise InputError(f"unknown node placement {placement!r}")
@@ -79,13 +82,7 @@ class StripConfig:
     beta: float = 1.0
     positivity: str = "none"
     floor_bp: float = 0.0
-    midpoint_unshifted: bool = False
     max_iter: int = 200
-    price_tol_bp: float = 1e-10
-    step_tol: float = 1e-14
-    lambda_init: float = 1e-3
-    lambda_max: float = 1e12
-    max_log_step: float = 1.0
 
     def __post_init__(self):
         check_beta(self.beta)
@@ -265,12 +262,7 @@ def _caplet_counts(schedule, quotes):
 
 
 def _node_times(schedule, quotes, config):
-    return place_nodes(
-        quotes.maturities_months,
-        schedule.tenor_months,
-        config.placement,
-        config.midpoint_unshifted,
-    )
+    return place_nodes(quotes.maturities_months, schedule.tenor_months, config.placement)
 
 
 def _model_cap_prices(schedule, strike, vols, counts):
@@ -383,7 +375,7 @@ def _bootstrap(schedule, quotes, config):
         config,
         clamped_months=clamped,
     )
-    result.converged = not clamped and result.max_abs_residual_bp <= config.price_tol_bp
+    result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
     return result
 
 
@@ -426,25 +418,23 @@ def strip_global(schedule, quotes, config=None):
         return point, r, float(r @ r)
 
     point, r, cost = evaluate(x)
-    lam = config.lambda_init
-    converged = False
+    lam = LAMBDA_INIT
     iterations = 0
     for iteration in range(config.max_iter):
         iterations = iteration + 1
-        if np.max(np.abs(r * market)) * 1e4 <= config.price_tol_bp:
-            converged = True
+        if np.max(np.abs(r * market)) * 1e4 <= PRICE_TOL_BP:
             break
         jac = core.jacobian(point) / market[:, None]
         gram = jac.T @ jac
         gradient = jac.T @ r
         damping = np.eye(n) * max(np.max(np.diag(gram)), 1e-300)
         moved = False
-        while lam <= config.lambda_max:
+        while lam <= LAMBDA_MAX:
             step = np.linalg.solve(gram + lam * damping, -gradient)
             if vol_map.log:
                 widest = np.max(np.abs(step))
-                if widest > config.max_log_step:
-                    step *= config.max_log_step / widest
+                if widest > MAX_LOG_STEP:
+                    step *= MAX_LOG_STEP / widest
             scale = 1.0
             for _ in range(20):
                 candidate = x + scale * step
@@ -459,122 +449,78 @@ def strip_global(schedule, quotes, config=None):
                 step_size = np.max(np.abs(candidate - x) / np.maximum(1.0, np.abs(x)))
                 x, point, r, cost = candidate, point_new, r_new, cost_new
                 lam = max(lam / 10.0, lambda_min)
-                if step_size <= config.step_tol:
-                    converged = True
                 break
             lam *= 10.0
-        if not moved or converged:
-            converged = converged or bool(np.max(np.abs(r * market)) * 1e4 <= config.price_tol_bp)
+        if not moved or step_size <= STEP_TOL:
             break
 
     if config.positivity == "floor":
         x = vol_map(x)  # the nodes take the floor too
         point = core.evaluate(x)
     values = vol_map(x) if vol_map.log else x
-    return _finish(
-        "global",
-        schedule,
-        quotes,
-        market,
-        taus,
-        values,
-        point.vols,
-        config,
-        converged=converged,
-        iterations=iterations,
+    result = _finish(
+        "global", schedule, quotes, market, taus, values, point.vols, config, iterations=iterations
     )
+    # whichever rule stopped the iterations, only a repriced ladder has converged
+    result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
+    return result
 
 
-def strip_time_value(
-    schedule, quotes, config=None, filter_arbitrage=True, interpolate="tv", interpolant="monotone"
-):
+def strip_time_value(schedule, quotes, config=None):
     """Strip caplet vols by interpolating cap time values in maturity.
 
-    Cap prices split into intrinsic plus time value; the time values,
-    anchored at (0, 0), are interpolated on the caplet payment grid with
-    the monotone C2 spline (or broken lines, interpolant='linear').
-    Non-negative increments between consecutive payment times plus the
-    caplet intrinsics give arbitrage-free caplet prices, inverted caplet
-    by caplet. With the filter on, quotes whose time value does not
-    increase are removed first (whichever of the offending pair sits
-    farther from the line through its neighbours).
-
-    interpolate='price' is a compatibility mode working on raw cap
-    prices instead; its increments can fall below the caplet intrinsic
-    (clamped up, vol zero there) even on data the default mode handles.
+    Cap prices split into intrinsic plus time value; quotes whose time
+    value does not increase are removed first (whichever of the offending
+    pair sits farther from the line through its neighbours). The kept time
+    values, anchored at (0, 0), are interpolated on the caplet payment
+    grid with the monotone C2 spline. Non-negative increments between
+    consecutive payment times plus the caplet intrinsics give
+    arbitrage-free caplet prices, inverted in one array call.
     """
     config = config or StripConfig()
-    if interpolate not in ("tv", "price"):
-        raise InputError(f"unknown interpolation target {interpolate!r}")
-    if interpolant not in ("monotone", "linear"):
-        raise InputError(f"unknown time-value interpolant {interpolant!r}")
     report = diagnostics.decompose(schedule, quotes)
-    tv = (report.time_value_bp if interpolate == "tv" else report.cap_price_bp) * 1e-4
-    months = quotes.maturities_months.astype(float)
+    keep_tv = list(report.time_value_bp * 1e-4)
+    keep_m = list(quotes.maturities_months.astype(float))
     removed = []
-    if filter_arbitrage:
-        keep_tv = list(tv)
-        keep_m = list(months)
-        while True:
-            bad = next(
-                (j for j in range(1, len(keep_tv)) if keep_tv[j] <= keep_tv[j - 1]), None
-            )
-            if bad is None:
-                break
+    while True:
+        bad = next((j for j in range(1, len(keep_tv)) if keep_tv[j] <= keep_tv[j - 1]), None)
+        if bad is None:
+            break
 
-            def distance(j):
-                if 0 < j < len(keep_tv) - 1:
-                    span = keep_m[j + 1] - keep_m[j - 1]
-                    line = keep_tv[j - 1] + (keep_tv[j + 1] - keep_tv[j - 1]) * (
-                        (keep_m[j] - keep_m[j - 1]) / span
-                    )
-                    return abs(keep_tv[j] - line)
-                other = 1 if j == 0 else len(keep_tv) - 2
-                return abs(keep_tv[j] - keep_tv[other])
+        def distance(j):
+            if 0 < j < len(keep_tv) - 1:
+                span = keep_m[j + 1] - keep_m[j - 1]
+                line = keep_tv[j - 1] + (keep_tv[j + 1] - keep_tv[j - 1]) * (
+                    (keep_m[j] - keep_m[j - 1]) / span
+                )
+                return abs(keep_tv[j] - line)
+            other = 1 if j == 0 else len(keep_tv) - 2
+            return abs(keep_tv[j] - keep_tv[other])
 
-            drop = bad - 1 if distance(bad - 1) > distance(bad) else bad
-            removed.append(int(keep_m[drop]))
-            del keep_tv[drop], keep_m[drop]
-        if not keep_tv:
-            raise InputError("arbitrage filter removed every quote")
-        tv = np.array(keep_tv)
-        months = np.array(keep_m)
+        drop = bad - 1 if distance(bad - 1) > distance(bad) else bad
+        removed.append(int(keep_m[drop]))
+        del keep_tv[drop], keep_m[drop]
+    tv = np.array(keep_tv)
+    months = np.array(keep_m)
     kept = diagnostics.CapQuoteSet(
         months.astype(int),
         quotes.flat_vols[np.isin(quotes.maturities_months, months.astype(int))],
         quotes.strike,
     )
     market = diagnostics.cap_prices(schedule, kept)
-    counts = _caplet_counts(schedule, kept)
+    n = _caplet_counts(schedule, kept)[-1]
 
     knot_t = np.concatenate(([0.0], months / 12.0))
     knot_tv = np.concatenate(([0.0], tv))
-    n = counts[-1]
-    if interpolant == "linear":
-        tv_at_pay = np.interp(schedule.pay_times[:n], knot_t, knot_tv)
-    else:
-        tv_at_pay = build_monotone_c2(knot_t, knot_tv)(schedule.pay_times[:n])
-    intrinsic = bachelier.intrinsic_vector(
-        schedule.forwards[:n], kept.strike, schedule.accruals[:n], schedule.discounts[:n]
+    tv_at_pay = build_monotone_c2(knot_t, knot_tv)(schedule.pay_times[:n])
+    levels = np.maximum.accumulate(np.maximum(tv_at_pay, 0.0))
+    forwards, expiries = schedule.forwards[:n], schedule.fixing_times[:n]
+    accruals, discounts = schedule.accruals[:n], schedule.discounts[:n]
+    intrinsic = bachelier.intrinsic_vector(forwards, kept.strike, accruals, discounts)
+    targets = intrinsic + np.diff(levels, prepend=0.0)
+    caplet_vols = bachelier.implied_vol_vector(
+        forwards, kept.strike, expiries, accruals, discounts, targets
     )
-    caplet_vols = np.empty(n)
-    previous = 0.0
-    for i in range(n):
-        level = max(float(tv_at_pay[i]), previous)
-        increment = level - previous
-        previous = level
-        if interpolate == "tv":
-            target = float(intrinsic[i]) + increment
-        else:
-            target = max(increment, float(intrinsic[i]))
-        terms = bachelier.CapletQuoteInputs(
-            forward=float(schedule.forwards[i]),
-            strike=kept.strike,
-            expiry=float(schedule.fixing_times[i]),
-            accrual=float(schedule.accruals[i]),
-            discount=float(schedule.discounts[i]),
-        )
-        caplet_vols[i] = bachelier.implied_vol(terms, target)
 
     return _finish(
         "tv",

@@ -264,6 +264,3 @@ class VolCurve:
         if self.family == "cubic":
             return eval_cubic_c2(self.taus, self.vols, t)
         return self._eval(t)
-
-    def with_values(self, vols):
-        return VolCurve(self.family, self.taus, vols, beta=self.beta, delta=self.delta)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capstrip as cs
+from capstrip.bachelier import implied_vol_vector
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -86,6 +87,49 @@ def test_implied_vol_round_trip(moneyness_bp, vol_bp, expiry):
         return
     target = cs.price(inputs, vol)
     assert cs.implied_vol(inputs, target) == pytest.approx(vol, rel=1e-10)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-500.0, max_value=500.0),
+            st.floats(min_value=1.0, max_value=500.0),
+            st.floats(min_value=1.0 / 12.0, max_value=15.0),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_implied_vol_vector_round_trip(draws):
+    moneyness_bp, vol_bp, expiries = (np.array(column) for column in zip(*draws))
+    # two more elements: one priced at intrinsic, one at the money
+    forwards = np.append(0.02 + moneyness_bp * 1e-4, [0.025, 0.02])
+    expiries = np.append(expiries, [1.0, expiries[0]])
+    vols = np.append(vol_bp * 1e-4, [0.0, vol_bp[0] * 1e-4])
+    accruals = np.full(len(vols), 1.0 / 12.0)
+    discounts = np.full(len(vols), 0.97)
+
+    def prices(scale):
+        return cs.price_vector(forwards, 0.02, expiries, accruals, discounts, vols * scale)
+
+    targets = prices(1.0)
+    # the same float-resolution skip as the scalar round trip
+    p_lo, p_hi = prices(1.0 - 2.5e-12), prices(1.0 + 2.5e-12)
+    resolved = p_hi - p_lo >= 8.0 * np.spacing(p_hi)
+    resolved[-2:] = False
+    recovered = implied_vol_vector(forwards, 0.02, expiries, accruals, discounts, targets)
+    np.testing.assert_allclose(recovered[resolved], vols[resolved], rtol=1e-10, atol=0)
+    assert recovered[-2] == 0.0
+    closed_form = targets[-1] * SQRT_2PI / (discounts[-1] * accruals[-1] * math.sqrt(expiries[-1]))
+    assert recovered[-1] == closed_form
+
+    below = np.append(targets, 0.97 / 12.0 * 0.01 - 1e-6)
+    with pytest.raises(cs.NegativeTimeValueError):
+        implied_vol_vector(
+            np.append(forwards, 0.03), 0.02, np.append(expiries, 1.0),
+            np.append(accruals, 1.0 / 12.0), np.append(discounts, 0.97), below,
+        )
 
 
 @given(

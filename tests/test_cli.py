@@ -319,7 +319,7 @@ def test_non_finite_curve_rate_is_rejected(tmp_path):
     [
         (["--family", "cosine", "--beta", "2"], "beta"),
         (["--mad-threshold", "nan"], "MAD"),
-        (["--positivity", "floor=nan"], "floor"),
+        (["--method", "global", "--positivity", "floor=nan"], "floor"),
         (["--strike-bp", "nan"], "strike"),
     ],
 )
@@ -328,6 +328,16 @@ def test_out_of_range_flag_writes_nothing(tmp_path, flags, word):
     result = _invoke(["run", *_market_args(), *flags, "--out", str(out)])
     _assert_rejected(result, out)
     assert word in result.stderr
+
+
+@pytest.mark.parametrize("method", ["bootstrap", "tv"])
+def test_positivity_needs_the_global_method(tmp_path, method):
+    out = tmp_path / "out"
+    result = _invoke(
+        ["run", *_market_args(), "--method", method, "--positivity", "floor=10", "--out", str(out)]
+    )
+    _assert_rejected(result, out)
+    assert "global" in result.stderr
 
 
 @pytest.mark.parametrize(

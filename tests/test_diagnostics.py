@@ -67,10 +67,6 @@ def test_constant_vols_are_degenerate():
     assert report.flagged == []
 
 
-def test_total_variance_check(quotes):
-    assert cs.total_variance_check(quotes) == [4, 24]
-
-
 def test_outlier_parameter_validation(quotes):
     with pytest.raises(cs.InputError):
         cs.detect_outliers(quotes, window=4)

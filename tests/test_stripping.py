@@ -134,6 +134,20 @@ def test_time_value_strip_filters_and_reprices(schedule, quotes):
     assert len(result.quote_months) == 11
 
 
+def test_time_value_caplet_prices_round_trip(schedule, quotes):
+    """The tv engine's caplet vols reprice its caplet targets."""
+    result = cs.strip_time_value(schedule, quotes)
+    n = len(result.caplet_vols)
+    spline = cs.build_monotone_c2(
+        np.concatenate(([0.0], result.node_times)), np.concatenate(([0.0], result.node_values))
+    )
+    levels = np.maximum.accumulate(np.maximum(spline(schedule.pay_times[:n]), 0.0))
+    f, a, d = schedule.forwards[:n], schedule.accruals[:n], schedule.discounts[:n]
+    targets = cs.intrinsic_vector(f, quotes.strike, a, d) + np.diff(levels, prepend=0.0)
+    prices = cs.price_vector(f, quotes.strike, schedule.fixing_times[:n], a, d, result.caplet_vols)
+    np.testing.assert_allclose(prices, targets, rtol=1e-13, atol=0)
+
+
 def test_time_value_strip_smooth_curves(data_dir, quotes):
     forward = cs.ZeroCurve.from_csv(data_dir / "libor1m_zero_curve.csv", interp="cubic")
     discount = cs.ZeroCurve.from_csv(data_dir / "ois_zero_curve.csv", interp="cubic")
@@ -142,52 +156,16 @@ def test_time_value_strip_smooth_curves(data_dir, quotes):
     assert result.max_abs_residual_bp <= 1e-9
 
 
-def test_time_value_strip_linear_interpolant(schedule, quotes):
-    result = cs.strip_time_value(schedule, quotes, interpolant="linear")
-    assert result.removed_months == [3, 24]
-    assert result.max_abs_residual_bp <= 1e-9
-    with pytest.raises(cs.InputError):
-        cs.strip_time_value(schedule, quotes, interpolant="quadratic")
-
-
 def test_far_quote_shifts_nothing_under_linear_interpolant(forward_curve, discount_curve, quotes):
     extended_schedule = cs.build_schedule(forward_curve, discount_curve, 181)
     n_inner = extended_schedule.caplet_count(180)
-    base = cs.strip_time_value(extended_schedule, quotes, interpolant="linear")
-    far = cs.strip_time_value(
-        extended_schedule,
-        cs.add_synthetic_far_quote(quotes, 181),
-        interpolant="linear",
-    )
-    # broken-line increments are local: vols below the last true quote
-    # cannot move when a knot is appended beyond it
-    assert np.array_equal(far.caplet_vols[:n_inner], base.caplet_vols[:n_inner])
+    # the monotone spline is not local: a knot appended beyond the last
+    # true quote moves vols below it
     smooth = cs.strip_time_value(
         extended_schedule, cs.add_synthetic_far_quote(quotes, 181)
     )
     base_smooth = cs.strip_time_value(extended_schedule, quotes)
     assert np.max(np.abs(smooth.caplet_vols[:n_inner] - base_smooth.caplet_vols[:n_inner])) > 0.0
-
-
-def test_price_mode_clamps_at_intrinsic(schedule, quotes):
-    """Interpolating raw prices undershoots intrinsic where time value drops."""
-    months = quotes.maturities_months
-    rep = cs.decompose(schedule, quotes)
-    knots_t = np.concatenate(([0.0], months / 12.0))
-    knots_p = np.concatenate(([0.0], rep.cap_price_bp * 1e-4))
-    n = schedule.caplet_count(int(months[-1]))
-    p_hat = cs.build_monotone_c2(knots_t, knots_p)(schedule.pay_times[:n])
-    increments = np.diff(np.concatenate(([0.0], np.maximum.accumulate(p_hat))))
-    intrinsic = cs.intrinsic_vector(
-        schedule.forwards[:n], quotes.strike, schedule.accruals[:n], schedule.discounts[:n]
-    )
-    assert np.min(increments - intrinsic) < 0.0
-
-    result = cs.strip_time_value(schedule, quotes, interpolate="price")
-    # raw cap prices increase on this ladder, so the filter keeps everything
-    assert result.removed_months == []
-    assert np.all(result.caplet_vols >= 0.0)
-    assert np.sum(result.caplet_vols == 0.0) > 0
 
 
 def test_round_trip_recovers_known_nodes(schedule, quotes):
@@ -404,6 +382,15 @@ def test_clean_global_rows_reprice(schedule, clean_quotes, family, positivity):
     result = cs.strip_global(schedule, clean_quotes, config)
     assert result.converged
     assert result.max_abs_residual_bp <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["flat", "flat-smooth"])
+@pytest.mark.parametrize("ladder", ["clean", "raw"])
+def test_global_converged_means_repriced(schedule, quotes, clean_quotes, family, ladder):
+    # these rows stop on a small step short of the quotes
+    chosen = clean_quotes if ladder == "clean" else quotes
+    result = cs.strip_global(schedule, chosen, cs.StripConfig(family=family, placement="mid"))
+    assert result.converged == (result.max_abs_residual_bp <= 1e-10)
 
 
 def test_floor_applies_to_the_evaluated_curve(schedule, quotes):

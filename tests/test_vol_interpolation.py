@@ -214,10 +214,3 @@ def test_node_validation():
         cs.VolCurve("flat", [1.0, 2.0], [0.01])
     with pytest.raises(cs.InputError):
         cs.VolCurve("spliney", [1.0, 2.0], [0.01, 0.01])
-
-
-def test_with_values_rebinds():
-    curve = flat_curve()
-    shifted = curve.with_values(VALS + 5e-4)
-    np.testing.assert_array_equal(shifted(TAUS), VALS + 5e-4)
-    np.testing.assert_array_equal(curve(TAUS), VALS)
