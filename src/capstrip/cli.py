@@ -93,6 +93,16 @@ class RunConfig:
             raise InputError("far quote months must be positive")
 
 
+def _engine(method):
+    """The stripping engine behind a method name.
+
+    Built per call from this module's names, so a wrapper set on one of
+    them (as perfbench's tracer does) is the one that runs.
+    """
+    engines = {"tv": strip_time_value, "bootstrap": bootstrap_sequential, "global": strip_global}
+    return engines[method]
+
+
 def evaluated_curve(result, tenor_months=1):
     """sigma(t) exactly as the pricer evaluated it for this result.
 
@@ -173,6 +183,7 @@ def _strip_json_text(result, config):
         "method": result.method,
         "converged": result.converged,
         "iterations": result.iterations,
+        "stop_reason": result.stop_reason,
         "quote_months": [int(m) for m in result.quote_months],
         "market_prices_bp": [float(p) for p in result.market_prices_bp],
         "residuals_bp": [float(r) for r in result.residuals_bp],
@@ -245,12 +256,7 @@ def run_pipeline(config):
         vol = None if np.isnan(config.far_quote_vol_bp) else config.far_quote_vol_bp * 1e-4
         quotes = add_synthetic_far_quote(quotes, config.far_quote_months, vol)
 
-    if config.method == "tv":
-        result = strip_time_value(schedule, quotes, strip_cfg)
-    elif config.method == "bootstrap":
-        result = bootstrap_sequential(schedule, quotes, strip_cfg)
-    else:
-        result = strip_global(schedule, quotes, strip_cfg)
+    result = _engine(config.method)(schedule, quotes, strip_cfg)
 
     files["strip.csv"] = _strip_csv_text(result)
     files["strip.json"] = _strip_json_text(result, config)
@@ -296,10 +302,7 @@ def compare_methods(schedule, quotes, configs=None):
         ]
     rows = []
     for label, engine, cfg in configs:
-        if engine == "bootstrap":
-            result = bootstrap_sequential(schedule, quotes, cfg)
-        else:
-            result = strip_global(schedule, quotes, cfg)
+        result = _engine(engine)(schedule, quotes, cfg)
         rows.append((label, result.min_caplet_vol_bp, result.min_node_bp, result.max_rel_error))
     return rows
 

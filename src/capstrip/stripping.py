@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares
 
 from . import bachelier, diagnostics
 from .term_structures import InputError
@@ -31,10 +31,8 @@ BRACKET_START = 0.05  # 500 bp
 BRACKET_LIMIT = 100.0  # 1e6 bp
 LOG_VOL_CAP = 3.0  # exp-mode curves are capped here before exponentiating
 PRICE_TOL_BP = 1e-10  # a quote is repriced when its residual is within this
-STEP_TOL = 1e-14  # global solver: smallest relative step that continues
-LAMBDA_INIT = 1e-3  # global solver: first Levenberg damping factor
-LAMBDA_MAX = 1e12  # global solver: damping at which a step search gives up
-MAX_LOG_STEP = 1.0  # global solver under exp: widest step in log-vol
+# least_squares status -> the stop test that fired (4: ftol and xtol both)
+_STOP_TESTS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
 
 
 def place_nodes(maturities_months, delta_months=1, placement="maturity"):
@@ -106,6 +104,7 @@ class StripResult:
     clamped_months: list = field(default_factory=list)
     converged: bool = True
     iterations: int = 0
+    stop_reason: str = "priced"
     config: StripConfig = field(default_factory=StripConfig)
 
     @property
@@ -309,7 +308,8 @@ def bootstrap_sequential(schedule, quotes, config=None):
     pass entirely). Evaluated vols are floored at zero, so when zero vol
     already overprices the cap (negative incremental time value) there is
     no root: the node clamps to zero, the miss is recorded in the
-    residuals, and stripping continues.
+    residuals, and stripping continues (stop_reason 'clamped', else
+    'priced').
     """
     config = config or StripConfig()
     if config.placement == "mid" and config.family != "flat":
@@ -374,29 +374,27 @@ def _bootstrap(schedule, quotes, config):
         caplet_vols,
         config,
         clamped_months=clamped,
+        stop_reason="clamped" if clamped else "priced",
     )
     result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
     return result
 
 
 def strip_global(schedule, quotes, config=None):
-    """Fit all node values at once with damped Gauss-Newton iterations.
+    """Fit all node values at once by bounded least squares (scipy's TRF).
 
-    Minimizes the sum of squared relative price errors, starting from the
-    sequential bootstrap values, with the exact Jacobian of the evaluation
-    core. Steps use uniform Levenberg damping scaled by the largest
-    curvature (near-flat directions from fully clamped regions then
-    receive no spurious motion) with a backtracking line search.
-    Positivity modes: 'none', 'exp' (nodes parameterised as exponentials),
-    'nonneg' (projection onto v >= 0 each accepted step), 'floor' (the
-    evaluated curve floored at floor_bp throughout, the nodes shifted up
-    to it after the solve).
+    Minimizes the sum of squared relative price errors with the exact
+    Jacobian of the evaluation core, starting from the sequential bootstrap
+    values. Positivity modes: 'none' (free nodes), 'exp' (nodes
+    parameterised as exponentials), 'nonneg' and 'floor' (the nodes bounded
+    below at zero or at floor_bp; the evaluated curve is floored there too).
+    iterations counts residual evaluations, at most max_iter; stop_reason
+    is 'priced' when the ladder reprices, else the stop test that fired.
     """
     config = config or StripConfig()
     counts = _caplet_counts(schedule, quotes)
     taus = _node_times(schedule, quotes, config)
     market = diagnostics.cap_prices(schedule, quotes)
-    n = len(taus)
     vol_map = VolMap.of(config)
     core = EvaluationCore(schedule, quotes.strike, counts, taus, config, vol_map)
 
@@ -404,65 +402,34 @@ def strip_global(schedule, quotes, config=None):
     # overshoot a same-family start can bake into the frozen directions
     init_family = "flat" if config.family == "flat" else "linear"
     init = _bootstrap(schedule, quotes, replace(config, family=init_family)).node_values
-    if vol_map.log:
-        # under 'exp' the family interpolates log-vols
-        x = np.log(np.maximum(init, 1e-4))
-        lambda_min = 1e-3  # holds dead log-space directions in place
-    else:
-        x = init.copy()
-        lambda_min = 1e-12
+    lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
+    # under 'exp' the family interpolates log-vols
+    x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)
 
-    def evaluate(x):
-        point = core.evaluate(x)
-        r = (point.cap_prices - market) / market
-        return point, r, float(r @ r)
+    last = {}
 
-    point, r, cost = evaluate(x)
-    lam = LAMBDA_INIT
-    iterations = 0
-    for iteration in range(config.max_iter):
-        iterations = iteration + 1
-        if np.max(np.abs(r * market)) * 1e4 <= PRICE_TOL_BP:
-            break
-        jac = core.jacobian(point) / market[:, None]
-        gram = jac.T @ jac
-        gradient = jac.T @ r
-        damping = np.eye(n) * max(np.max(np.diag(gram)), 1e-300)
-        moved = False
-        while lam <= LAMBDA_MAX:
-            step = np.linalg.solve(gram + lam * damping, -gradient)
-            if vol_map.log:
-                widest = np.max(np.abs(step))
-                if widest > MAX_LOG_STEP:
-                    step *= MAX_LOG_STEP / widest
-            scale = 1.0
-            for _ in range(20):
-                candidate = x + scale * step
-                if config.positivity == "nonneg":
-                    candidate = np.maximum(candidate, 0.0)
-                point_new, r_new, cost_new = evaluate(candidate)
-                if cost_new <= cost * (1.0 - 1e-15):
-                    moved = True
-                    break
-                scale *= 0.5
-            if moved:
-                step_size = np.max(np.abs(candidate - x) / np.maximum(1.0, np.abs(x)))
-                x, point, r, cost = candidate, point_new, r_new, cost_new
-                lam = max(lam / 10.0, lambda_min)
-                break
-            lam *= 10.0
-        if not moved or step_size <= STEP_TOL:
-            break
+    def residuals(x):
+        last["x"], last["point"] = x.copy(), core.evaluate(x)
+        return (last["point"].cap_prices - market) / market
 
-    if config.positivity == "floor":
-        x = vol_map(x)  # the nodes take the floor too
-        point = core.evaluate(x)
-    values = vol_map(x) if vol_map.log else x
-    result = _finish(
-        "global", schedule, quotes, market, taus, values, point.vols, config, iterations=iterations
+    def jacobian(x):
+        # the solver asks for the Jacobian at the point it evaluated last
+        point = last["point"] if np.array_equal(x, last["x"]) else core.evaluate(x)
+        return core.jacobian(point) / market[:, None]
+
+    # tolerances near round-off: the stop tests fire only once the fit stalls
+    fit = least_squares(
+        residuals, x0, jac=jacobian, bounds=(lower, np.inf), method="trf", x_scale="jac",
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=config.max_iter,
     )
-    # whichever rule stopped the iterations, only a repriced ladder has converged
+    vols = core.evaluate(fit.x).vols
+    values = vol_map(fit.x) if vol_map.log else fit.x
+    result = _finish(
+        "global", schedule, quotes, market, taus, values, vols, config, iterations=fit.nfev
+    )
+    # whichever test stopped the solver, only a repriced ladder has converged
     result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
+    result.stop_reason = "priced" if result.converged else _STOP_TESTS[fit.status]
     return result
 
 

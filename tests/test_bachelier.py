@@ -179,15 +179,21 @@ def test_intrinsic_vector_matches_scalar():
     )
 
 
-def test_vega_vector_matches_scalar():
+def test_vega_vector_matches_the_closed_form():
+    """vega = accrual * discount * sqrt(T) * phi(d) with d = (F - K) / (vol sqrt(T));
+    at zero vol the one-sided limit, phi(0) at the money and zero elsewhere."""
+    strike = 0.018
     forwards = np.array([0.025, 0.018, 0.01, 0.018, 0.03])
     expiries = np.array([0.5, 1.0, 2.0, 3.0, 0.25])
     accruals = np.full(5, 1.0 / 12.0)
     discounts = np.array([0.99, 0.98, 0.97, 0.96, 0.995])
     vols = np.array([0.008, 0.0, 0.0, 0.012, 1e-9])
-    vector = cs.vega_vector(forwards, 0.018, expiries, accruals, discounts, vols)
-    scalar = [
-        cs.vega(cs.CapletQuoteInputs(f, 0.018, t, a, b), v)
-        for f, t, a, b, v in zip(forwards, expiries, accruals, discounts, vols)
-    ]
-    np.testing.assert_allclose(vector, scalar, rtol=1e-15, atol=0)
+    expected = []
+    for f, t, a, b, v in zip(forwards, expiries, accruals, discounts, vols):
+        if v > 0.0:
+            d = (f - strike) / (v * math.sqrt(t))
+        else:
+            d = 0.0 if f == strike else math.inf
+        expected.append(a * b * math.sqrt(t) * math.exp(-0.5 * d * d) / SQRT_2PI)
+    vector = cs.vega_vector(forwards, strike, expiries, accruals, discounts, vols)
+    np.testing.assert_allclose(vector, expected, rtol=1e-14, atol=0)

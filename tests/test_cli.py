@@ -73,6 +73,7 @@ def test_strip_json_reports_the_run(run_dir):
     payload = json.loads((out / "strip.json").read_text())
     assert payload["method"] == "bootstrap"
     assert payload["converged"] is True
+    assert payload["stop_reason"] == "priced"
     # outlier removal happens upstream of the engine (see outliers.csv),
     # so the engine-level arbitrage filter has nothing left to drop
     assert payload["removed_months"] == []
@@ -112,6 +113,7 @@ def test_report_policy_keeps_flagged_quotes(tmp_path):
     payload = json.loads((tmp_path / "strip.json").read_text())
     assert payload["clamped_months"] == [4, 5, 6, 24]
     assert payload["converged"] is False
+    assert payload["stop_reason"] == "clamped"
 
 
 def test_strict_mode_stops_on_violations(tmp_path):

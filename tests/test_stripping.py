@@ -67,6 +67,7 @@ def test_bootstrap_flat_on_clean_quotes(schedule, clean_quotes):
     result = cs.bootstrap_sequential(schedule, clean_quotes, cs.StripConfig(family="flat"))
     assert result.max_abs_residual_bp <= 1e-10
     assert result.converged
+    assert result.stop_reason == "priced"
     assert result.clamped_months == []
     assert np.all(result.caplet_vols >= 0.0)
     assert np.all(result.node_values > 0.0)
@@ -119,6 +120,7 @@ def test_bootstrap_clamps_on_raw_quotes(schedule, quotes):
     result = cs.bootstrap_sequential(schedule, quotes, cs.StripConfig(family="flat"))
     assert result.clamped_months == [4, 5, 6, 24]
     assert not result.converged
+    assert result.stop_reason == "clamped"
     assert np.all(result.node_values >= 0.0)
     # the clamped caps miss their quotes, everything else must still hit
     missed = np.isin(result.quote_months, result.clamped_months)
@@ -130,6 +132,7 @@ def test_time_value_strip_filters_and_reprices(schedule, quotes):
     result = cs.strip_time_value(schedule, quotes)
     assert result.removed_months == [3, 24]
     assert result.max_abs_residual_bp <= 1e-9
+    assert result.stop_reason == "priced"
     assert np.all(result.caplet_vols >= 0.0)
     assert len(result.quote_months) == 11
 
@@ -381,6 +384,7 @@ def test_clean_global_rows_reprice(schedule, clean_quotes, family, positivity):
     )
     result = cs.strip_global(schedule, clean_quotes, config)
     assert result.converged
+    assert result.stop_reason == "priced"
     assert result.max_abs_residual_bp <= 1e-10
 
 
@@ -391,6 +395,7 @@ def test_global_converged_means_repriced(schedule, quotes, clean_quotes, family,
     chosen = clean_quotes if ladder == "clean" else quotes
     result = cs.strip_global(schedule, chosen, cs.StripConfig(family=family, placement="mid"))
     assert result.converged == (result.max_abs_residual_bp <= 1e-10)
+    assert result.stop_reason in ("gtol", "ftol", "xtol", "max_nfev")
 
 
 def test_floor_applies_to_the_evaluated_curve(schedule, quotes):
@@ -399,3 +404,36 @@ def test_floor_applies_to_the_evaluated_curve(schedule, quotes):
     _, min_vol_bp, min_node_bp, _ = rows[0]
     assert min_vol_bp >= 10.0
     assert min_node_bp == pytest.approx(10.0, abs=1e-9)
+
+
+def _cost(result):
+    """The global objective: the sum of squared relative price errors."""
+    relative = result.residuals_bp / result.market_prices_bp
+    return float(relative @ relative)
+
+
+def test_floor_reports_the_solved_residuals(schedule, quotes):
+    # the nodes are bounded at the floor while solving; raising them to it
+    # afterwards would reprice a different curve
+    config = cs.StripConfig(family="hyman", placement="mid", positivity="floor", floor_bp=10.0)
+    result = cs.strip_global(schedule, quotes, config)
+    assert result.max_abs_residual_bp < 1.0
+    assert np.all(result.node_values >= 10e-4)
+
+
+def test_unconstrained_mid_families_reach_one_optimum(schedule, quotes):
+    # on the raw ladder the best fit of every family is the same
+    # non-decreasing time-value ladder; each family must get there
+    costs = [
+        _cost(cs.strip_global(schedule, quotes, cs.StripConfig(family=family, placement="mid")))
+        for family in ("linear", "cubic", "hyman")
+    ]
+    assert max(costs) <= min(costs) * (1.0 + 1e-6)
+
+
+def test_max_iter_bounds_the_residual_evaluations(schedule, quotes):
+    config = cs.StripConfig(family="cubic", placement="mid", max_iter=5)
+    result = cs.strip_global(schedule, quotes, config)
+    assert result.iterations <= 5
+    assert not result.converged
+    assert result.stop_reason == "max_nfev"
