@@ -69,6 +69,22 @@ def _time_value_core(s, abs_moneyness):
     return s * np.exp(-0.5 * q * q) * bracket
 
 
+def _price(base, moneyness, s):
+    """Caplet prices from B*delta, F - K and s = vol * sqrt(t); s <= 0 is intrinsic."""
+    live = s > 0.0
+    s_safe = np.where(live, s, 1.0)
+    tv = np.where(live, _time_value_core(s_safe, np.abs(moneyness)), 0.0)
+    return base * (np.maximum(moneyness, 0.0) + tv)
+
+
+def _vega(base, moneyness, root_t, s):
+    """d(price)/d(vol) from the same terms as _price, for s >= 0, and its d."""
+    live = s > 0.0
+    with np.errstate(over="ignore"):
+        d = np.where(live, moneyness / np.where(live, s, 1.0), np.where(moneyness == 0.0, 0.0, np.inf))
+        return base * root_t * _phi(d), d
+
+
 def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=False):
     """Vectorized caplet prices; vols at or below zero price as intrinsic.
 
@@ -76,13 +92,7 @@ def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=Fa
     otherwise non-positive vols simply hit the intrinsic branch.
     """
     sig = np.maximum(vols, 0.0) if clamp else np.asarray(vols, dtype=float)
-    base = discounts * accruals
-    moneyness = forwards - strike
-    s = sig * np.sqrt(expiries)
-    live = s > 0.0
-    s_safe = np.where(live, s, 1.0)
-    tv = np.where(live, _time_value_core(s_safe, np.abs(moneyness)), 0.0)
-    return base * (np.maximum(moneyness, 0.0) + tv)
+    return _price(discounts * accruals, forwards - strike, sig * np.sqrt(expiries))
 
 
 def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
@@ -91,12 +101,21 @@ def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
     At zero vol this is the one-sided limit: the ATM value, zero elsewhere.
     """
     root_t = np.sqrt(expiries)
+    return _vega(discounts * accruals, forwards - strike, root_t, vols * root_t)[0]
+
+
+def price_greeks_vector(forwards, strike, expiries, accruals, discounts, vols):
+    """Prices, vegas and vommas in one pass, for non-negative vols.
+
+    The prices and vegas are price_vector's and vega_vector's. Vomma is
+    d(vega)/d(vol) = vega * d^2 / vol, zero at zero vol (the one-sided limit).
+    """
+    base, moneyness, root_t = discounts * accruals, forwards - strike, np.sqrt(expiries)
     s = vols * root_t
-    moneyness = forwards - strike
-    live = s > 0.0
-    with np.errstate(over="ignore"):
-        d = np.where(live, moneyness / np.where(live, s, 1.0), np.where(moneyness == 0.0, 0.0, np.inf))
-        return discounts * accruals * root_t * _phi(d)
+    vega, d = _vega(base, moneyness, root_t, s)
+    curved = (vega > 0.0) & (s > 0.0)
+    d = np.where(curved, d, 0.0)
+    return _price(base, moneyness, s), vega, vega * d * d / np.where(curved, vols, 1.0)
 
 
 def intrinsic_vector(forwards, strike, accruals, discounts):

@@ -202,7 +202,7 @@ def _daily_curve_text(result, tenor_months):
     times = days / 365.0
     vols_bp = np.asarray(sigma(times), dtype=float) * 1e4
     lines = ["t_years,caplet_vol_bp"]
-    lines.extend(f"{t:.6f},{v:.4f}" for t, v in zip(times, vols_bp))
+    lines.extend(map("%.6f,%.4f".__mod__, zip(times.tolist(), vols_bp.tolist())))
     return _csv_text(lines)
 
 

@@ -31,6 +31,8 @@ BRACKET_START = 0.05  # 500 bp
 BRACKET_LIMIT = 100.0  # 1e6 bp
 LOG_VOL_CAP = 3.0  # exp-mode curves are capped here before exponentiating
 PRICE_TOL_BP = 1e-10  # a quote is repriced when its residual is within this
+NEWTON_MAX_ITER = 50  # bootstrap Newton steps before the Brent fallback
+NEWTON_TOL = 1e-6  # a relative Halley step this small leaves only round-off (its cube)
 # least_squares status -> the stop test that fired (4: ftol and xtol both)
 _STOP_TESTS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
 
@@ -246,12 +248,8 @@ class EvaluationCore:
         C sums each cap's caplets; exact wherever the hyman clamp set and
         the vol map's clamps do not switch.
         """
-        n = self.counts[-1]
-        s = self.schedule
-        vega = bachelier.vega_vector(
-            s.forwards[:n], self.strike, s.fixing_times[:n], s.accruals[:n], s.discounts[:n],
-            point.vols,
-        )
+        terms = _caplet_terms(self.schedule, self.strike, self.counts[-1])
+        vega = bachelier.vega_vector(*terms, point.vols)
         weights = vega * self.vol_map.slope(point.curve, point.vols)
         return np.cumsum(weights[:, None] * point.matrix, axis=0)[self.counts - 1]
 
@@ -264,15 +262,16 @@ def _node_times(schedule, quotes, config):
     return place_nodes(quotes.maturities_months, schedule.tenor_months, config.placement)
 
 
-def _model_cap_prices(schedule, strike, vols, counts):
-    prices = bachelier.price_vector(
-        schedule.forwards[: counts[-1]],
-        strike,
-        schedule.fixing_times[: counts[-1]],
-        schedule.accruals[: counts[-1]],
-        schedule.discounts[: counts[-1]],
-        vols,
+def _caplet_terms(schedule, strike, n):
+    """Everything but the vols that prices the first n caplets."""
+    return (
+        schedule.forwards[:n], strike, schedule.fixing_times[:n],
+        schedule.accruals[:n], schedule.discounts[:n],
     )
+
+
+def _model_cap_prices(schedule, strike, vols, counts):
+    prices = bachelier.price_vector(*_caplet_terms(schedule, strike, counts[-1]), vols)
     cumulative = np.concatenate(([0.0], np.cumsum(prices)))
     return cumulative[counts]
 
@@ -295,8 +294,89 @@ def _finish(method, schedule, quotes, market, taus, values, caplet_vols, config,
     )
 
 
+def _newton_node(terms, fixed, column, target, start, vol_map):
+    """A bootstrap node on the curve fixed + x * column, by safeguarded Newton.
+
+    Returns (x, clamped), or None when the caller should run the bracketed
+    Brent solve instead: the slope is not positive, a step goes beyond
+    BRACKET_LIMIT, or NEWTON_MAX_ITER steps do not settle the node.
+    Caplets where column == 0 do not move with x, so their prices are
+    summed once, at the start; only the rest are repriced. Each step is
+    Newton's on the exact slope sum(vega * column * dvol/dcurve), with
+    Halley's correction from the exact curvature
+    sum(vomma * column^2 * dvol/dcurve) (the zero floor is linear off its
+    kink). Each residual's sign narrows the bracket [lo, up], and a step
+    that leaves it bisects. The node clamps at 0 when zero vol already
+    overprices the cap: seen at once when the moving caplets' intrinsic
+    does, else tested when a step reaches zero.
+    """
+    moving = column != 0.0
+    offset = -target
+    lo, up, zero_tested = 0.0, math.inf, False
+    x = start
+    for _ in range(NEWTON_MAX_ITER):
+        curve = fixed + x * column
+        vols = vol_map(curve)
+        prices, vegas, vommas = bachelier.price_greeks_vector(*terms, vols)
+        if moving is not None:
+            # the caplets that do not move keep these prices at every x
+            offset += prices[~moving].sum()
+            forwards, strike, expiries, accruals, discounts = (
+                a[moving] if np.ndim(a) else a for a in terms
+            )
+            terms = (forwards, strike, expiries, accruals, discounts)
+            fixed, column, curve, vols, prices, vegas, vommas = (
+                a[moving] for a in (fixed, column, curve, vols, prices, vegas, vommas)
+            )
+            moving = None
+            # no vol prices below intrinsic: if that overprices, so does zero vol
+            if offset + bachelier.intrinsic_vector(forwards, strike, accruals, discounts).sum() >= 0:
+                return 0.0, True
+        residual = offset + prices.sum()
+        zero_tested = zero_tested or x == 0.0
+        if residual >= 0.0:
+            if x == 0.0:
+                return 0.0, True
+            up = x
+        else:
+            lo = x
+        if residual == 0.0:
+            return x, False
+        weights = vol_map.slope(curve, vols) * column
+        slope = vegas @ weights
+        if not slope > 0.0:
+            return None
+        newton = residual / slope
+        halley = 1.0 - 0.5 * newton * (vommas @ (weights * column)) / slope
+        step = newton / halley if halley > 0.0 else newton
+        candidate = x - step
+        if candidate > BRACKET_LIMIT:
+            return None
+        if abs(step) <= NEWTON_TOL * x:
+            return candidate, False
+        if candidate <= lo:
+            # zero vol is the one point left of the bracket still to test
+            candidate = 0.5 * (lo + up) if zero_tested else 0.0
+        elif candidate >= up:
+            candidate = 0.5 * (lo + up)
+        x = candidate
+    return None
+
+
+def _bracketed_node(cap_price, target):
+    """A bootstrap node by bracket doubling and Brent: returns (x, clamped)."""
+    if cap_price(0.0) >= target:
+        return 0.0, True
+    hi = BRACKET_START
+    while cap_price(hi) < target and hi < BRACKET_LIMIT:
+        hi *= 2.0
+    if cap_price(hi) < target:
+        return hi, True
+    return brentq(lambda x: cap_price(x) - target, 0.0, hi, xtol=1e-16, rtol=8.9e-16), False
+
+
 def bootstrap_sequential(schedule, quotes, config=None):
-    """Solve node values one quote at a time (Brent on the full cap price).
+    """Solve node values one quote at a time (Newton, with Brent as the fallback).
 
     Node q is the one-dimensional root matching the model price of cap q,
     with earlier nodes held fixed and the curve restricted to the solved
@@ -319,10 +399,11 @@ def bootstrap_sequential(schedule, quotes, config=None):
     return _bootstrap(schedule, quotes, config)
 
 
-def _bootstrap(schedule, quotes, config):
+def _bootstrap(schedule, quotes, config, market=None):
     counts = _caplet_counts(schedule, quotes)
     taus = _node_times(schedule, quotes, config)
-    market = diagnostics.cap_prices(schedule, quotes)
+    if market is None:
+        market = diagnostics.cap_prices(schedule, quotes)
     vol_map = VolMap.of(config, "bootstrap")
     delta = schedule.tenor_months / 12.0
     values = []
@@ -330,10 +411,17 @@ def _bootstrap(schedule, quotes, config):
     for q in range(len(quotes)):
         # cap q alone, on the curve through nodes 0..q
         node_times, times = taus[: q + 1], schedule.fixing_times[: counts[q]]
+        target = market[q]
+        solved = None
         if _linear_in_values(config.family):
             # fixed + x * column in the new node's value x
             fixed = _sample(config, delta, node_times, np.append(values, 0.0), times)
             column = _sample(config, delta, node_times, np.eye(q + 1)[q], times)
+            # start at the flat vol, the one vol that prices the whole cap
+            solved = _newton_node(
+                _caplet_terms(schedule, quotes.strike, counts[q]),
+                fixed, column, target, quotes.flat_vols[q], vol_map,
+            )
 
             def curve(x):
                 return fixed + x * column
@@ -344,25 +432,17 @@ def _bootstrap(schedule, quotes, config):
             def curve(x):
                 return basis(np.append(values, x))
 
-        def cap_price(x):
-            vols = vol_map(curve(x))
-            return _model_cap_prices(schedule, quotes.strike, vols, counts[q : q + 1])[-1]
-
-        target = market[q]
-        if cap_price(0.0) >= target:
-            values.append(0.0)
+        if solved is None:
+            solved = _bracketed_node(
+                lambda x: _model_cap_prices(
+                    schedule, quotes.strike, vol_map(curve(x)), counts[q : q + 1]
+                )[-1],
+                target,
+            )
+        value, at_clamp = solved
+        values.append(value)
+        if at_clamp:
             clamped.append(int(quotes.maturities_months[q]))
-            continue
-        hi = BRACKET_START
-        while cap_price(hi) < target and hi < BRACKET_LIMIT:
-            hi *= 2.0
-        if cap_price(hi) < target:
-            values.append(hi)
-            clamped.append(int(quotes.maturities_months[q]))
-            continue
-        values.append(
-            brentq(lambda x: cap_price(x) - target, 0.0, hi, xtol=1e-16, rtol=8.9e-16)
-        )
     caplet_vols = vol_map(_sample(config, delta, taus, values, schedule.fixing_times[: counts[-1]]))
     result = _finish(
         "bootstrap",
@@ -401,7 +481,7 @@ def strip_global(schedule, quotes, config=None):
     # linear-family bootstrap start: family-neutral and free of the spline
     # overshoot a same-family start can bake into the frozen directions
     init_family = "flat" if config.family == "flat" else "linear"
-    init = _bootstrap(schedule, quotes, replace(config, family=init_family)).node_values
+    init = _bootstrap(schedule, quotes, replace(config, family=init_family), market).node_values
     lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
     # under 'exp' the family interpolates log-vols
     x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)

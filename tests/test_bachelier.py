@@ -197,3 +197,22 @@ def test_vega_vector_matches_the_closed_form():
         expected.append(a * b * math.sqrt(t) * math.exp(-0.5 * d * d) / SQRT_2PI)
     vector = cs.vega_vector(forwards, strike, expiries, accruals, discounts, vols)
     np.testing.assert_allclose(vector, expected, rtol=1e-14, atol=0)
+
+
+def test_price_greeks_vector_matches_price_vega_and_differences():
+    strike = 0.018
+    forwards = np.array([0.025, 0.018, 0.01, 0.018, 0.03, 0.005])
+    expiries = np.array([0.5, 1.0, 2.0, 3.0, 0.25, 1.5])
+    accruals = np.full(6, 1.0 / 12.0)
+    discounts = np.array([0.99, 0.98, 0.97, 0.96, 0.995, 0.985])
+    vols = np.array([0.008, 0.0, 0.0, 0.012, 0.004, 0.006])
+    terms = (forwards, strike, expiries, accruals, discounts)
+    prices, vegas, vommas = cs.bachelier.price_greeks_vector(*terms, vols)
+    np.testing.assert_array_equal(prices, cs.price_vector(*terms, vols))
+    np.testing.assert_array_equal(vegas, cs.vega_vector(*terms, vols))
+    # zero vol: the one-sided limit, flat vega away from the money, linear price at it
+    assert np.all(vommas[vols == 0.0] == 0.0)
+    live = vols > 0.0
+    h = 1e-7
+    fd = (cs.vega_vector(*terms, vols + h) - cs.vega_vector(*terms, vols - h)) / (2.0 * h)
+    np.testing.assert_allclose(vommas[live], fd[live], rtol=1e-6)

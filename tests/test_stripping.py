@@ -128,6 +128,55 @@ def test_bootstrap_clamps_on_raw_quotes(schedule, quotes):
     assert np.max(np.abs(result.residuals_bp[~missed])) <= 1e-10
 
 
+@pytest.mark.parametrize("family", ["flat", "linear", "cubic", "hyman"])
+def test_bootstrap_clamps_at_the_bracket_limit(schedule, clean_quotes, family):
+    # 3e6 bp: no node value up to the bracket limit prices this cap
+    vols = clean_quotes.flat_vols.copy()
+    vols[5] = 300.0
+    quotes = cs.CapQuoteSet(clean_quotes.maturities_months, vols, clean_quotes.strike)
+    result = cs.bootstrap_sequential(schedule, quotes, cs.StripConfig(family=family))
+    assert result.node_values[5] == cs.stripping.BRACKET_START * 2**11
+    assert int(quotes.maturities_months[5]) in result.clamped_months
+    assert result.stop_reason == "clamped"
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+@pytest.mark.parametrize("family", cs.FAMILIES)
+def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, family, ladder):
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    config = cs.StripConfig(family=family)
+    # the market prices are the caller's (the global solver passes its own)
+    market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
+    calls = []
+
+    def counted(price):
+        def wrapper(*args, **kwargs):
+            calls.append(price)
+            return price(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("price_vector", "price_greeks_vector"):
+        monkeypatch.setattr(cs.bachelier, name, counted(getattr(cs.bachelier, name)))
+    result = cs.stripping._bootstrap(schedule, ladder_quotes, config, market)
+    monkeypatch.undo()
+
+    if family != "hyman":
+        assert len(calls) < 40
+    # each node not clamped prices its cap on the curve through nodes 0..q
+    months = ladder_quotes.maturities_months
+    for q, month in enumerate(months):
+        if month in result.clamped_months:
+            continue
+        model = _cap_prices_from_nodes(
+            schedule, ladder_quotes.strike, family, result.node_times[: q + 1],
+            result.node_values[: q + 1], months[: q + 1],
+        )[-1]
+        assert abs(model - market[q]) * 1e4 <= 1e-10
+    if ladder == "raw" and family == "flat":
+        assert result.clamped_months == [4, 5, 6, 24]
+
+
 def test_time_value_strip_filters_and_reprices(schedule, quotes):
     result = cs.strip_time_value(schedule, quotes)
     assert result.removed_months == [3, 24]
