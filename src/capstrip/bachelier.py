@@ -50,39 +50,40 @@ class NegativeTimeValueError(ValueError):
         self.deficit = deficit
 
 
-def _phi(x):
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+def _gaussian(moneyness, s):
+    """(live, q, exp(-q^2/2)) for q = |F - K| / s, the terms price and greeks share.
+
+    live marks s > 0; q means nothing where s <= 0. q is capped at 1e9,
+    where exp(-q^2/2) is 0 already, so that subnormal s does not overflow it.
+    """
+    live = s > 0.0
+    with np.errstate(over="ignore"):
+        q = np.minimum(np.abs(moneyness) / np.where(live, s, 1.0), 1e9)
+    return live, q, np.exp(-0.5 * q * q)
 
 
-def _time_value_core(s, abs_moneyness):
-    """Time value divided by B*delta, for s = vol * sqrt(t) > 0.
+def _time_value(s, q, decay):
+    """Time value divided by B*delta, for s = vol * sqrt(t) > 0 and decay = exp(-q^2/2).
 
     The bracket below equals exp(q^2/2) * (phi(q) - q * Phi(-q)); its
     cancellation bottoms out around 1e-13 relative at the edge of the
     representable tail (q ~ 38), where phi and Phi individually
     underflow and the naive difference turns into garbage.
     """
-    with np.errstate(over="ignore"):
-        # subnormal s overflows q; cap it where exp(-q^2/2) is 0 anyway
-        q = np.minimum(abs_moneyness / s, 1e9)
-    bracket = _INV_SQRT_2PI - 0.5 * q * erfcx(q / _SQRT_2)
-    return s * np.exp(-0.5 * q * q) * bracket
+    return s * decay * (_INV_SQRT_2PI - 0.5 * q * erfcx(q / _SQRT_2))
 
 
-def _price(base, moneyness, s):
-    """Caplet prices from B*delta, F - K and s = vol * sqrt(t); s <= 0 is intrinsic."""
-    live = s > 0.0
-    s_safe = np.where(live, s, 1.0)
-    tv = np.where(live, _time_value_core(s_safe, np.abs(moneyness)), 0.0)
-    return base * (np.maximum(moneyness, 0.0) + tv)
+def _price(base, moneyness, s, live, q, decay):
+    """Caplet prices from B*delta, F - K, s = vol * sqrt(t) and _gaussian's terms.
+
+    s <= 0 prices as intrinsic.
+    """
+    return base * (np.maximum(moneyness, 0.0) + np.where(live, _time_value(s, q, decay), 0.0))
 
 
-def _vega(base, moneyness, root_t, s):
-    """d(price)/d(vol) from the same terms as _price, for s >= 0, and its d."""
-    live = s > 0.0
-    with np.errstate(over="ignore"):
-        d = np.where(live, moneyness / np.where(live, s, 1.0), np.where(moneyness == 0.0, 0.0, np.inf))
-        return base * root_t * _phi(d), d
+def _vega(base, root_t, moneyness, live, decay):
+    """B*delta * sqrt(t) * phi(q); where s <= 0, its s -> 0+ limit: phi(0) at the money, else 0."""
+    return base * root_t * (np.where(live | (moneyness == 0.0), decay, 0.0) / _SQRT_2PI)
 
 
 def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=False):
@@ -92,30 +93,34 @@ def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=Fa
     otherwise non-positive vols simply hit the intrinsic branch.
     """
     sig = np.maximum(vols, 0.0) if clamp else np.asarray(vols, dtype=float)
-    return _price(discounts * accruals, forwards - strike, sig * np.sqrt(expiries))
+    moneyness, s = forwards - strike, sig * np.sqrt(expiries)
+    return _price(discounts * accruals, moneyness, s, *_gaussian(moneyness, s))
 
 
 def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
-    """Vectorized d(price)/d(vol) for non-negative vols.
+    """Vectorized d(price)/d(vol) = B * delta * sqrt(t) * phi(q), for non-negative vols.
 
     At zero vol this is the one-sided limit: the ATM value, zero elsewhere.
     """
-    root_t = np.sqrt(expiries)
-    return _vega(discounts * accruals, forwards - strike, root_t, vols * root_t)[0]
+    moneyness, root_t = forwards - strike, np.sqrt(expiries)
+    live, _, decay = _gaussian(moneyness, vols * root_t)
+    return _vega(discounts * accruals, root_t, moneyness, live, decay)
 
 
 def price_greeks_vector(forwards, strike, expiries, accruals, discounts, vols):
     """Prices, vegas and vommas in one pass, for non-negative vols.
 
-    The prices and vegas are price_vector's and vega_vector's. Vomma is
-    d(vega)/d(vol) = vega * d^2 / vol, zero at zero vol (the one-sided limit).
+    The prices and vegas are price_vector's and vega_vector's, to the bit.
+    Vomma is d(vega)/d(vol) = vega * q^2 / vol, zero at zero vol (the
+    one-sided limit).
     """
     base, moneyness, root_t = discounts * accruals, forwards - strike, np.sqrt(expiries)
     s = vols * root_t
-    vega, d = _vega(base, moneyness, root_t, s)
-    curved = (vega > 0.0) & (s > 0.0)
-    d = np.where(curved, d, 0.0)
-    return _price(base, moneyness, s), vega, vega * d * d / np.where(curved, vols, 1.0)
+    live, q, decay = _gaussian(moneyness, s)
+    vega = _vega(base, root_t, moneyness, live, decay)
+    # where s <= 0, vega * q^2 is 0: q = 0 at the money, vega = 0 elsewhere
+    vomma = vega * q * q / np.where(live, vols, 1.0)
+    return _price(base, moneyness, s, live, q, decay), vega, vomma
 
 
 def intrinsic_vector(forwards, strike, accruals, discounts):
@@ -220,7 +225,8 @@ def _newton(forwards, strike, expiries, accruals, discounts, target_tv):
     log_target = np.log(target_tv)
 
     def time_value_of(sigma, k):
-        return base[k] * _time_value_core(sigma * root_t[k], abs_m[k])
+        s = sigma * root_t[k]
+        return base[k] * _time_value(s, *_gaussian(abs_m[k], s)[1:])
 
     # the ATM time value majorizes every other moneyness at equal vol,
     # so the ATM inversion is a lower bound for the root

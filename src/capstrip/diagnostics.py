@@ -76,13 +76,24 @@ def cap_price_from_flat_vol(schedule, maturity_months, flat_vol, strike):
 
 
 def cap_prices(schedule, quotes):
-    """Market prices (decimal) for every quote in the set."""
-    return np.array(
-        [
-            cap_price_from_flat_vol(schedule, m, v, quotes.strike)
-            for m, v in zip(quotes.maturities_months, quotes.flat_vols)
-        ]
+    """Market prices (decimal) for every quote in the set.
+
+    The whole ladder, each cap's caplets at its own flat vol, is priced in
+    one call; each cap is then one np.sum over its slice, so every price
+    is cap_price_from_flat_vol's to the bit.
+    """
+    counts = np.array([schedule.caplet_count(m) for m in quotes.maturities_months])
+    ends = np.cumsum(counts)
+    caplet = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    prices = bachelier.price_vector(
+        schedule.forwards[caplet],
+        quotes.strike,
+        schedule.fixing_times[caplet],
+        schedule.accruals[caplet],
+        schedule.discounts[caplet],
+        np.repeat(quotes.flat_vols, counts),
     )
+    return np.array([np.sum(cap) for cap in np.split(prices, ends[:-1])])
 
 
 @dataclass

@@ -21,6 +21,7 @@ from . import bachelier, diagnostics
 from .term_structures import InputError
 from .vol_interpolation import (
     VolCurve,
+    basis_matrix,
     build_monotone_c2,
     check_beta,
     hermite_basis,
@@ -170,29 +171,20 @@ def _linear_in_values(family):
     return family != "hyman"
 
 
-def _sample(config, delta, taus, values, times):
-    return VolCurve(config.family, taus, values, beta=config.beta, delta=delta)(times)
-
-
 class CurveBasis:
     """A vol family sampled at fixed times as a matrix on the node values.
 
     curve(times) = matrix(v) @ v. Every family but hyman is linear in its
-    node values, so its matrix is built once, by evaluating the family on
-    unit node vectors. Hyman is a cubic Hermite spline whose slopes are
-    linear in the values on each clamp set (hyman_slopes), so its matrix
-    A + B @ S(v) is rebuilt per value vector from the fixed Hermite parts.
+    node values, so its matrix is built once, in closed form (basis_matrix).
+    Hyman is a cubic Hermite spline whose slopes are linear in the values
+    on each clamp set (hyman_slopes), so its matrix A + B @ S(v) is rebuilt
+    per value vector from the fixed Hermite parts.
     """
 
     def __init__(self, family, taus, times, beta, delta):
         self.taus = np.asarray(taus, dtype=float)
         if _linear_in_values(family):
-            self._matrix = np.column_stack(
-                [
-                    VolCurve(family, self.taus, unit, beta=beta, delta=delta)(times)
-                    for unit in np.eye(len(self.taus))
-                ]
-            )
+            self._matrix = basis_matrix(family, self.taus, times, beta, delta)
         else:
             self._matrix = None
             self._hermite = hermite_basis(self.taus, times)
@@ -414,9 +406,9 @@ def _bootstrap(schedule, quotes, config, market=None):
         target = market[q]
         solved = None
         if _linear_in_values(config.family):
-            # fixed + x * column in the new node's value x
-            fixed = _sample(config, delta, node_times, np.append(values, 0.0), times)
-            column = _sample(config, delta, node_times, np.eye(q + 1)[q], times)
+            # fixed + x * column in the new node's value x, from the basis of nodes 0..q
+            prefix = basis_matrix(config.family, node_times, times, config.beta, delta)
+            fixed, column = prefix[:, :q] @ values, prefix[:, q]
             # start at the flat vol, the one vol that prices the whole cap
             solved = _newton_node(
                 _caplet_terms(schedule, quotes.strike, counts[q]),
@@ -443,7 +435,8 @@ def _bootstrap(schedule, quotes, config, market=None):
         values.append(value)
         if at_clamp:
             clamped.append(int(quotes.maturities_months[q]))
-    caplet_vols = vol_map(_sample(config, delta, taus, values, schedule.fixing_times[: counts[-1]]))
+    final = VolCurve(config.family, taus, values, beta=config.beta, delta=delta)
+    caplet_vols = vol_map(final(schedule.fixing_times[: counts[-1]]))
     result = _finish(
         "bootstrap",
         schedule,

@@ -11,6 +11,7 @@ import enum
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg import lapack
 
 from .term_structures import InputError
 
@@ -165,6 +166,60 @@ def hermite_basis(x, t):
     return a, b
 
 
+def natural_slope_map(x):
+    """Matrix S with d = S @ f, the node slopes of the natural C2 cubic.
+
+    The slopes solve the tridiagonal system of Hagan & West (2006), on the
+    secants s_k = (f_k+1 - f_k) / h_k: continuous second derivatives inside,
+    h_k d_k-1 + 2 (h_k-1 + h_k) d_k + h_k-1 d_k+1 = 3 (h_k s_k-1 + h_k-1 s_k),
+    and zero second derivatives at the ends, 2 d_0 + d_1 = 3 s_0 and
+    d_n-2 + 2 d_n-1 = 3 s_n-2. Needs at least two nodes.
+    """
+    n = len(x)
+    h = np.diff(x)
+    # row k reads lower[k-1] d_k-1 + main[k] d_k + upper[k] d_k+1; the right
+    # side weighs s_k-1 and s_k by three times lower[k-1] and upper[k]
+    lower = np.concatenate((h[1:], [1.0]))
+    main = np.concatenate(([2.0], 2.0 * (h[:-1] + h[1:]), [2.0]))
+    upper = np.concatenate(([1.0], h[:-1]))
+    secants = (np.eye(n - 1, n, 1) - np.eye(n - 1, n)) / h[:, None]
+    rhs = np.zeros((n, n))
+    rhs[1:] += 3.0 * lower[:, None] * secants
+    rhs[:-1] += 3.0 * upper[:, None] * secants
+    # diagonally dominant, so the solve cannot fail
+    return lapack.dgtsv(lower, main, upper, rhs)[3]
+
+
+def _hat_weights(taus, t):
+    """W with W @ v == np.interp(t, taus, v) to the bit, in np.interp's own
+    arithmetic: slope * (t - tau_k) + value on [tau_k, tau_k+1), unit rows
+    before the first node and at or beyond the last."""
+    weights = np.zeros((len(t), len(taus)))
+    inside = np.flatnonzero((t >= taus[0]) & (t < taus[-1]))
+    k = np.searchsorted(taus, t[inside], side="right") - 1
+    h = taus[k + 1] - taus[k]
+    offset = t[inside] - taus[k]
+    weights[inside, k] = (-1.0 / h) * offset + 1.0
+    weights[inside, k + 1] = (1.0 / h) * offset
+    weights[t < taus[0], 0] = 1.0
+    weights[t >= taus[-1], -1] = 1.0
+    return weights
+
+
+def _kernel_weights(taus, t, kernel, beta, delta):
+    """W for eval_kernel: curve = v_0 + sum_k (v_k - v_k-1) * ramp_k(t), so
+    column k is ramp_k - ramp_k+1, with ramp_0 = 1 and no ramp past the last node."""
+    half = 0.5 * beta * delta
+    centres = taus[:-1] + 0.5 * delta
+    a = np.maximum(taus[:-1], centres - half)
+    b = np.minimum(taus[1:], centres + half)
+    wide = b > a
+    t = t[:, None]
+    ramps = np.where(wide, kernel.weight((t - a) / np.where(wide, b - a, 1.0)), t > a)
+    ramps = np.hstack((np.ones((len(t), 1)), ramps, np.zeros((len(t), 1))))
+    return ramps[:, :-1] - ramps[:, 1:]
+
+
 def hyman_slopes(x, f):
     """Node slopes (d, S) of the non-negative Hyman spline, with d = S @ f.
 
@@ -264,3 +319,28 @@ class VolCurve:
         if self.family == "cubic":
             return eval_cubic_c2(self.taus, self.vols, t)
         return self._eval(t)
+
+
+def basis_matrix(family, taus, t, beta=1.0, delta=1.0 / 12.0):
+    """Matrix W with VolCurve(family, taus, v, beta, delta)(t) == W @ v.
+
+    For every family linear in its node values (all but hyman), built in a
+    few array operations: one-hot rows for flat, differenced ramp weights
+    for the kernel families, np.interp's hat weights for linear (bit for
+    bit), and A + B @ S for cubic, the Hermite basis with the natural
+    spline's slope map.
+    """
+    taus = np.asarray(taus, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if family == "flat":
+        idx = np.clip(np.searchsorted(taus, t, side="left"), 0, len(taus) - 1)
+        return (idx[:, None] == np.arange(len(taus))).astype(float)
+    if family in _KERNEL_FAMILIES:
+        check_beta(beta)
+        return _kernel_weights(taus, t, _KERNEL_FAMILIES[family], beta, delta)
+    if family == "linear" or (family == "cubic" and len(taus) < 3):
+        return _hat_weights(taus, t)
+    if family == "cubic":
+        values_part, slopes_part = hermite_basis(taus, t)
+        return values_part + slopes_part @ natural_slope_map(taus)
+    raise InputError(f"vol family {family!r} is not linear in its node values")

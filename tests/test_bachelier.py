@@ -199,20 +199,45 @@ def test_vega_vector_matches_the_closed_form():
     np.testing.assert_allclose(vector, expected, rtol=1e-14, atol=0)
 
 
+def _greeks_match_price_and_vega(terms, vols):
+    """price_greeks_vector's prices and vegas are price_vector's and vega_vector's, to the bit."""
+    prices, vegas, vommas = cs.bachelier.price_greeks_vector(*terms, vols)
+    np.testing.assert_array_equal(prices, cs.price_vector(*terms, vols))
+    np.testing.assert_array_equal(vegas, cs.vega_vector(*terms, vols))
+    assert np.all(np.isfinite(vommas))
+    return vegas, vommas
+
+
 def test_price_greeks_vector_matches_price_vega_and_differences():
     strike = 0.018
     forwards = np.array([0.025, 0.018, 0.01, 0.018, 0.03, 0.005])
     expiries = np.array([0.5, 1.0, 2.0, 3.0, 0.25, 1.5])
     accruals = np.full(6, 1.0 / 12.0)
     discounts = np.array([0.99, 0.98, 0.97, 0.96, 0.995, 0.985])
-    vols = np.array([0.008, 0.0, 0.0, 0.012, 0.004, 0.006])
     terms = (forwards, strike, expiries, accruals, discounts)
-    prices, vegas, vommas = cs.bachelier.price_greeks_vector(*terms, vols)
-    np.testing.assert_array_equal(prices, cs.price_vector(*terms, vols))
-    np.testing.assert_array_equal(vegas, cs.vega_vector(*terms, vols))
-    # zero vol: the one-sided limit, flat vega away from the money, linear price at it
-    assert np.all(vommas[vols == 0.0] == 0.0)
-    live = vols > 0.0
+    with_zeros = np.array([0.008, 0.0, 0.0, 0.012, 0.004, 0.006])
+    all_positive = np.array([0.008, 0.003, 0.011, 0.012, 0.004, 0.006])
     h = 1e-7
-    fd = (cs.vega_vector(*terms, vols + h) - cs.vega_vector(*terms, vols - h)) / (2.0 * h)
-    np.testing.assert_allclose(vommas[live], fd[live], rtol=1e-6)
+    for vols in (with_zeros, all_positive):
+        _, vommas = _greeks_match_price_and_vega(terms, vols)
+        # zero vol: the one-sided limit, flat vega away from the money, linear price at it
+        assert np.all(vommas[vols == 0.0] == 0.0)
+        live = vols > 0.0
+        fd = (cs.vega_vector(*terms, vols + h) - cs.vega_vector(*terms, vols - h)) / (2.0 * h)
+        np.testing.assert_allclose(vommas[live], fd[live], rtol=1e-6)
+
+    # far tails: q = |F - K| / s beyond 38, where exp(-q^2/2) underflows, and
+    # q at its 1e9 cap, reached at a tiny s and by overflow at a subnormal s
+    moneyness = np.array([-0.013, 0.012, -0.013, 0.012, -0.013, 0.012, -0.013, 0.012, 0.0])
+    q = np.array([37.5, 38.5, 40.0, 130.0, 1.3e10, 1.2e10])
+    vols = np.concatenate((np.abs(moneyness[:6]) / q, [1e-310, 1e-310, 1e-310]))
+    assert np.all(vols[6:] < np.finfo(float).tiny)
+    n = len(vols)
+    terms = (strike + moneyness, strike, np.ones(n), np.full(n, 0.25), np.full(n, 0.97))
+    vegas, vommas = _greeks_match_price_and_vega(terms, vols)
+    prices = cs.price_vector(*terms, vols)
+    intrinsic = cs.intrinsic_vector(strike + moneyness, strike, terms[3], terms[4])
+    assert prices[0] > 0.0  # out of the money, a subnormal time value is left at q = 37.5
+    np.testing.assert_array_equal(prices[2:8], intrinsic[2:8])
+    assert np.all(vegas[2:8] == 0.0) and np.all(vommas[2:] == 0.0)
+    assert vegas[8] > 0.0  # at the money the vega keeps its zero-vol limit

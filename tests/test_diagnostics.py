@@ -104,3 +104,24 @@ def test_quote_set_validation():
             cs.CapQuoteSet([2, 3], [0.01, bad])
     with pytest.raises(cs.InputError):
         cs.CapQuoteSet([2, 3], [0.01, 0.01], strike=float("nan"))
+
+
+def _per_quote_prices(schedule, quotes):
+    return np.array(
+        [
+            cs.cap_price_from_flat_vol(schedule, m, v, quotes.strike)
+            for m, v in zip(quotes.maturities_months, quotes.flat_vols)
+        ]
+    )
+
+
+def test_cap_prices_match_the_per_quote_loop(schedule, quotes, forward_curve, discount_curve):
+    """One pricing call for the whole ladder gives each cap's price to the bit."""
+    assert np.array_equal(cs.cap_prices(schedule, quotes), _per_quote_prices(schedule, quotes))
+    quarterly = cs.build_schedule(forward_curve, discount_curve, 180, tenor_months=3)
+    months = np.array([6, 9, 12, 24, 36, 60, 84, 120, 180])
+    vols = np.linspace(60.0, 95.0, len(months)) * 1e-4
+    ladder = cs.CapQuoteSet(months, vols, strike=-0.005)
+    prices = cs.cap_prices(quarterly, ladder)
+    assert np.all(prices > 0.0)
+    assert np.array_equal(prices, _per_quote_prices(quarterly, ladder))

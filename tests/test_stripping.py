@@ -177,6 +177,36 @@ def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, 
         assert result.clamped_months == [4, 5, 6, 24]
 
 
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+@pytest.mark.parametrize("engine", ["bootstrap", "global"])
+def test_node_engines_build_no_curve_per_node(
+    monkeypatch, schedule, quotes, clean_quotes, engine, ladder
+):
+    """Nodes are solved on closed-form bases: the only VolCurve a bootstrap
+    builds samples its final nodes."""
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    builds, bootstraps = [], []
+    curve_class, bootstrap = cs.stripping.VolCurve, cs.stripping._bootstrap
+
+    def counted_curve(*args, **kwargs):
+        builds.append(args[0])
+        return curve_class(*args, **kwargs)
+
+    def counted_bootstrap(*args, **kwargs):
+        bootstraps.append(args[2].family)
+        return bootstrap(*args, **kwargs)
+
+    monkeypatch.setattr(cs.stripping, "VolCurve", counted_curve)
+    monkeypatch.setattr(cs.stripping, "_bootstrap", counted_bootstrap)
+    if engine == "bootstrap":
+        cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="cubic"))
+    else:
+        cs.strip_global(schedule, ladder_quotes, cs.StripConfig(family="cubic", placement="mid"))
+    monkeypatch.undo()
+    assert len(bootstraps) == 1
+    assert len(builds) <= len(bootstraps)
+
+
 def test_time_value_strip_filters_and_reprices(schedule, quotes):
     result = cs.strip_time_value(schedule, quotes)
     assert result.removed_months == [3, 24]

@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 
 import capstrip as cs
-from capstrip.vol_interpolation import build_hyman_nonneg_c1
+from capstrip.vol_interpolation import basis_matrix, build_hyman_nonneg_c1
 
 DELTA = 1.0 / 12.0
 
@@ -13,6 +13,7 @@ TAUS = np.array([1.0, 2.0, 4.0, 7.0, 11.0]) / 12.0
 VALS = np.array([80.0, 101.0, 93.0, 95.0, 90.0]) * 1e-4
 
 KERNEL_FAMILIES = ("flat-linear", "flat-smooth", "cosine", "quintic")
+LINEAR_FAMILIES = tuple(family for family in cs.FAMILIES if family != "hyman")
 
 
 def flat_curve():
@@ -214,3 +215,49 @@ def test_node_validation():
         cs.VolCurve("flat", [1.0, 2.0], [0.01])
     with pytest.raises(cs.InputError):
         cs.VolCurve("spliney", [1.0, 2.0], [0.01, 0.01])
+
+
+def _basis_case(n, seed):
+    """n node times on the monthly grid, and sample times from before the
+    first node to beyond the last: the nodes, a monthly grid and random times."""
+    rng = np.random.default_rng(seed)
+    taus = np.sort(rng.choice(np.arange(1, 241), size=n, replace=False)) / 12.0
+    t = np.concatenate(
+        (
+            [0.0, 0.5 * taus[0]],
+            taus,
+            np.arange(1, 253) / 12.0,
+            rng.uniform(0.0, taus[-1] + 1.0, 50),
+            [taus[-1] + 3.0],
+        )
+    )
+    return taus, t, rng
+
+
+@pytest.mark.parametrize("family", LINEAR_FAMILIES)
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_basis_matrix_matches_the_family(family, beta, n):
+    taus, t, rng = _basis_case(n, seed=n)
+    matrix = basis_matrix(family, taus, t, beta, DELTA)
+    for _ in range(5):
+        values = rng.uniform(-20.0, 150.0, n) * 1e-4
+        expected = cs.VolCurve(family, taus, values, beta=beta, delta=DELTA)(t)
+        scale = np.max(np.abs(values))
+        np.testing.assert_allclose(matrix @ values, expected, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_linear_basis_is_np_interp_on_unit_vectors(n):
+    """The global solver's linear rows take the same path as with a basis
+    built by np.interp, because the two matrices are equal to the bit."""
+    taus, t, _ = _basis_case(n, seed=100 + n)
+    expected = np.column_stack([np.interp(t, taus, unit) for unit in np.eye(n)])
+    assert np.array_equal(basis_matrix("linear", taus, t), expected)
+
+
+def test_basis_matrix_needs_a_linear_family():
+    with pytest.raises(cs.InputError):
+        basis_matrix("hyman", TAUS, TAUS)
+    with pytest.raises(cs.InputError):
+        basis_matrix("spliney", TAUS, TAUS)
