@@ -50,18 +50,6 @@ class NegativeTimeValueError(ValueError):
         self.deficit = deficit
 
 
-def _gaussian(moneyness, s):
-    """(live, q, exp(-q^2/2)) for q = |F - K| / s, the terms price and greeks share.
-
-    live marks s > 0; q means nothing where s <= 0. q is capped at 1e9,
-    where exp(-q^2/2) is 0 already, so that subnormal s does not overflow it.
-    """
-    live = s > 0.0
-    with np.errstate(over="ignore"):
-        q = np.minimum(np.abs(moneyness) / np.where(live, s, 1.0), 1e9)
-    return live, q, np.exp(-0.5 * q * q)
-
-
 def _time_value(s, q, decay):
     """Time value divided by B*delta, for s = vol * sqrt(t) > 0 and decay = exp(-q^2/2).
 
@@ -73,17 +61,83 @@ def _time_value(s, q, decay):
     return s * decay * (_INV_SQRT_2PI - 0.5 * q * erfcx(q / _SQRT_2))
 
 
-def _price(base, moneyness, s, live, q, decay):
-    """Caplet prices from B*delta, F - K, s = vol * sqrt(t) and _gaussian's terms.
+class CapletTable:
+    """Everything but the vols that prices a run of caplets, computed once.
 
-    s <= 0 prices as intrinsic.
+    Holds B*delta, |F - K|, max(F - K, 0), sqrt(t), B*delta*sqrt(t), the
+    at-the-money mask (F == K) and the intrinsic B*delta*max(F - K, 0). The
+    kernels price, vega, price_vega and price_greeks each take one vector
+    of vols and make one pass over the table; price_vector, vega_vector
+    and price_greeks_vector are these kernels on a fresh table, to the bit.
+    table[rows] is the table of those caplets.
     """
-    return base * (np.maximum(moneyness, 0.0) + np.where(live, _time_value(s, q, decay), 0.0))
 
+    _FIELDS = ("base", "abs_moneyness", "itm", "root_t", "base_root_t", "atm", "intrinsic")
 
-def _vega(base, root_t, moneyness, live, decay):
-    """B*delta * sqrt(t) * phi(q); where s <= 0, its s -> 0+ limit: phi(0) at the money, else 0."""
-    return base * root_t * (np.where(live | (moneyness == 0.0), decay, 0.0) / _SQRT_2PI)
+    def __init__(self, forwards, strike, expiries, accruals, discounts):
+        moneyness = forwards - strike
+        self.base = discounts * accruals
+        self.abs_moneyness = np.abs(moneyness)
+        self.itm = np.maximum(moneyness, 0.0)
+        self.root_t = np.sqrt(expiries)
+        self.base_root_t = self.base * self.root_t
+        self.atm = moneyness == 0.0
+        self.intrinsic = self.base * self.itm
+
+    def __getitem__(self, rows):
+        table = object.__new__(CapletTable)
+        for name in self._FIELDS:
+            setattr(table, name, getattr(self, name)[rows])
+        return table
+
+    def _gaussian(self, s):
+        """(live, q, exp(-q^2/2)) for q = |F - K| / s, the terms price and greeks share.
+
+        live marks s > 0; q means nothing where s <= 0. q is capped at 1e9,
+        where exp(-q^2/2) is 0 already, so that subnormal s does not overflow it.
+        """
+        live = s > 0.0
+        with np.errstate(over="ignore"):
+            q = np.minimum(self.abs_moneyness / np.where(live, s, 1.0), 1e9)
+        return live, q, np.exp(-0.5 * q * q)
+
+    def _price(self, s, live, q, decay):
+        """Prices at s = vol * sqrt(t); s <= 0 prices as intrinsic."""
+        return self.base * (self.itm + np.where(live, _time_value(s, q, decay), 0.0))
+
+    def _vega(self, live, decay):
+        """B*delta * sqrt(t) * phi(q); where s <= 0, its s -> 0+ limit:
+        phi(0) at the money, else 0."""
+        return self.base_root_t * (np.where(live | self.atm, decay, 0.0) / _SQRT_2PI)
+
+    def price(self, vols):
+        """Caplet prices; vols at or below zero price as intrinsic."""
+        s = vols * self.root_t
+        return self._price(s, *self._gaussian(s))
+
+    def vega(self, vols):
+        """d(price)/d(vol) for non-negative vols; at zero vol the one-sided limit."""
+        live, _, decay = self._gaussian(vols * self.root_t)
+        return self._vega(live, decay)
+
+    def _price_vega(self, vols):
+        s = vols * self.root_t
+        live, q, decay = self._gaussian(s)
+        return self._price(s, live, q, decay), self._vega(live, decay), live, q
+
+    def price_vega(self, vols):
+        """Prices and vegas in one pass, for non-negative vols."""
+        return self._price_vega(vols)[:2]
+
+    def price_greeks(self, vols):
+        """Prices, vegas and vommas in one pass, for non-negative vols.
+
+        Vomma is d(vega)/d(vol) = vega * q^2 / vol, zero at zero vol (the
+        one-sided limit).
+        """
+        prices, vega, live, q = self._price_vega(vols)
+        # where s <= 0, vega * q^2 is 0: q = 0 at the money, vega = 0 elsewhere
+        return prices, vega, vega * q * q / np.where(live, vols, 1.0)
 
 
 def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=False):
@@ -93,8 +147,7 @@ def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=Fa
     otherwise non-positive vols simply hit the intrinsic branch.
     """
     sig = np.maximum(vols, 0.0) if clamp else np.asarray(vols, dtype=float)
-    moneyness, s = forwards - strike, sig * np.sqrt(expiries)
-    return _price(discounts * accruals, moneyness, s, *_gaussian(moneyness, s))
+    return CapletTable(forwards, strike, expiries, accruals, discounts).price(sig)
 
 
 def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
@@ -102,25 +155,15 @@ def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
 
     At zero vol this is the one-sided limit: the ATM value, zero elsewhere.
     """
-    moneyness, root_t = forwards - strike, np.sqrt(expiries)
-    live, _, decay = _gaussian(moneyness, vols * root_t)
-    return _vega(discounts * accruals, root_t, moneyness, live, decay)
+    return CapletTable(forwards, strike, expiries, accruals, discounts).vega(vols)
 
 
 def price_greeks_vector(forwards, strike, expiries, accruals, discounts, vols):
     """Prices, vegas and vommas in one pass, for non-negative vols.
 
     The prices and vegas are price_vector's and vega_vector's, to the bit.
-    Vomma is d(vega)/d(vol) = vega * q^2 / vol, zero at zero vol (the
-    one-sided limit).
     """
-    base, moneyness, root_t = discounts * accruals, forwards - strike, np.sqrt(expiries)
-    s = vols * root_t
-    live, q, decay = _gaussian(moneyness, s)
-    vega = _vega(base, root_t, moneyness, live, decay)
-    # where s <= 0, vega * q^2 is 0: q = 0 at the money, vega = 0 elsewhere
-    vomma = vega * q * q / np.where(live, vols, 1.0)
-    return _price(base, moneyness, s, live, q, decay), vega, vomma
+    return CapletTable(forwards, strike, expiries, accruals, discounts).price_greeks(vols)
 
 
 def intrinsic_vector(forwards, strike, accruals, discounts):
@@ -194,47 +237,41 @@ def implied_vol_vector(forwards, strike, expiries, accruals, discounts, targets)
     forwards, expiries, accruals, discounts, targets = (
         np.asarray(a, dtype=float) for a in (forwards, expiries, accruals, discounts, targets)
     )
-    base = discounts * accruals
-    if np.any(base <= 0.0) or np.any(expiries <= 0.0):
+    if np.any(discounts * accruals <= 0.0) or np.any(expiries <= 0.0):
         raise ValueError("need positive discount, accrual and expiry")
-    moneyness = forwards - strike
-    intrinsic = base * np.maximum(moneyness, 0.0)
+    table = CapletTable(forwards, strike, expiries, accruals, discounts)
+    intrinsic = table.intrinsic
     scale = np.maximum(np.maximum(np.abs(targets), intrinsic), 1e-300)
     below = targets < intrinsic - 1e-14 * scale
     if np.any(below):
         raise NegativeTimeValueError(float((intrinsic - targets)[below][0]))
 
     vols = np.zeros(len(targets))
-    root_t = np.sqrt(expiries)
     live = targets > intrinsic
-    atm = live & (moneyness == 0.0)
-    vols[atm] = targets[atm] * _SQRT_2PI / (base[atm] * root_t[atm])
+    atm = live & table.atm
+    vols[atm] = targets[atm] * _SQRT_2PI / table.base_root_t[atm]
     solve = np.flatnonzero(live & ~atm)
-    vols[solve] = _newton(
-        forwards[solve], strike, expiries[solve], accruals[solve], discounts[solve],
-        targets[solve] - intrinsic[solve],
-    )
+    vols[solve] = _newton(table[solve], targets[solve] - intrinsic[solve])
     return vols
 
 
-def _newton(forwards, strike, expiries, accruals, discounts, target_tv):
+def _newton(table, target_tv):
     """implied_vol_vector away from the money, for time values target_tv > 0."""
-    base = discounts * accruals
-    root_t = np.sqrt(expiries)
-    abs_m = np.abs(forwards - strike)
     log_target = np.log(target_tv)
 
-    def time_value_of(sigma, k):
-        s = sigma * root_t[k]
-        return base[k] * _time_value(s, *_gaussian(abs_m[k], s)[1:])
+    def time_value_and_vega(rows, sigma):
+        s = sigma * rows.root_t
+        live, q, decay = rows._gaussian(s)
+        return rows.base * _time_value(s, q, decay), rows._vega(live, decay)
 
     # the ATM time value majorizes every other moneyness at equal vol,
     # so the ATM inversion is a lower bound for the root
-    lo = target_tv * _SQRT_2PI / (base * root_t)
+    lo = target_tv * _SQRT_2PI / table.base_root_t
     hi = np.maximum(2.0 * lo, 1e-4)
     short = np.arange(len(target_tv))
     for _ in range(_BRACKET_DOUBLINGS):
-        short = short[time_value_of(hi[short], short) < target_tv[short]]
+        below = time_value_and_vega(table[short], hi[short])[0] < target_tv[short]
+        short = short[below]
         if short.size == 0:
             break
         lo[short] = hi[short]
@@ -246,11 +283,10 @@ def _newton(forwards, strike, expiries, accruals, discounts, target_tv):
     k = np.arange(len(target_tv))
     for _ in range(_NEWTON_MAX_ITER):
         s = sigma[k]
-        tv_val = time_value_of(s, k)
+        tv_val, slope = time_value_and_vega(table[k], s)
         above = tv_val > target_tv[k]
         hi[k] = np.where(above, s, hi[k])
         lo[k] = np.where(above, lo[k], s)
-        slope = vega_vector(forwards[k], strike, expiries[k], accruals[k], discounts[k], s)
         # where the time value underflowed, sigma is far below the root: bisect
         newton = (tv_val > 0.0) & (slope > 0.0)
         safe_tv = np.where(newton, tv_val, 1.0)

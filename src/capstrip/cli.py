@@ -201,9 +201,10 @@ def _daily_curve_text(result, tenor_months):
     days = np.arange(1, int(np.floor(result.caplet_times[-1] * 365.0)) + 1)
     times = days / 365.0
     vols_bp = np.asarray(sigma(times), dtype=float) * 1e4
-    lines = ["t_years,caplet_vol_bp"]
-    lines.extend(map("%.6f,%.4f".__mod__, zip(times.tolist(), vols_bp.tolist())))
-    return _csv_text(lines)
+    # one format call over the interleaved (t, vol) pairs: the per-line
+    # "%.6f,%.4f" conversions, without a string per line
+    pairs = np.column_stack((times, vols_bp)).ravel()
+    return "t_years,caplet_vol_bp\n" + ("%.6f,%.4f\n" * len(times)) % tuple(pairs.tolist())
 
 
 def _write_files(out, files):

@@ -167,10 +167,6 @@ class VolMap:
         return np.log(node_values) if self.log else np.asarray(node_values, dtype=float)
 
 
-def _linear_in_values(family):
-    return family != "hyman"
-
-
 class CurveBasis:
     """A vol family sampled at fixed times as a matrix on the node values.
 
@@ -183,7 +179,7 @@ class CurveBasis:
 
     def __init__(self, family, taus, times, beta, delta):
         self.taus = np.asarray(taus, dtype=float)
-        if _linear_in_values(family):
+        if family != "hyman":
             self._matrix = basis_matrix(family, self.taus, times, beta, delta)
         else:
             self._matrix = None
@@ -205,18 +201,19 @@ class _Point(NamedTuple):
     curve: np.ndarray
     vols: np.ndarray
     cap_prices: np.ndarray
+    vegas: np.ndarray
 
 
 class EvaluationCore:
     """Node values -> vols at the fixings -> cap prices, for one quote ladder.
 
     counts are the caplet counts of the caps to price; the curve is sampled
-    at the first counts[-1] fixings through one CurveBasis.
+    at the first counts[-1] fixings through one CurveBasis, and those
+    caplets are priced off one CapletTable.
     """
 
     def __init__(self, schedule, strike, counts, taus, config, vol_map):
-        self.schedule = schedule
-        self.strike = strike
+        self.table = _caplet_table(schedule, strike, counts[-1])
         self.counts = counts
         self.vol_map = vol_map
         self.basis = CurveBasis(
@@ -231,18 +228,17 @@ class EvaluationCore:
         matrix = self.basis.matrix(x)
         curve = matrix @ x
         vols = self.vol_map(curve)
-        cap_prices = _model_cap_prices(self.schedule, self.strike, vols, self.counts)
-        return _Point(matrix, curve, vols, cap_prices)
+        prices, vegas = self.table.price_vega(vols)
+        return _Point(matrix, curve, vols, _cap_sums(prices, self.counts), vegas)
 
     def jacobian(self, point):
         """d(cap prices)/dx = C diag(vega * dvol/dcurve) W at an evaluated point.
 
         C sums each cap's caplets; exact wherever the hyman clamp set and
-        the vol map's clamps do not switch.
+        the vol map's clamps do not switch. The vegas are the point's, so
+        nothing is priced here.
         """
-        terms = _caplet_terms(self.schedule, self.strike, self.counts[-1])
-        vega = bachelier.vega_vector(*terms, point.vols)
-        weights = vega * self.vol_map.slope(point.curve, point.vols)
+        weights = point.vegas * self.vol_map.slope(point.curve, point.vols)
         return np.cumsum(weights[:, None] * point.matrix, axis=0)[self.counts - 1]
 
 
@@ -254,24 +250,23 @@ def _node_times(schedule, quotes, config):
     return place_nodes(quotes.maturities_months, schedule.tenor_months, config.placement)
 
 
-def _caplet_terms(schedule, strike, n):
-    """Everything but the vols that prices the first n caplets."""
-    return (
+def _caplet_table(schedule, strike, n):
+    """The table that prices the first n caplets."""
+    return bachelier.CapletTable(
         schedule.forwards[:n], strike, schedule.fixing_times[:n],
         schedule.accruals[:n], schedule.discounts[:n],
     )
 
 
-def _model_cap_prices(schedule, strike, vols, counts):
-    prices = bachelier.price_vector(*_caplet_terms(schedule, strike, counts[-1]), vols)
+def _cap_sums(prices, counts):
+    """Cap prices from the prices of their caplets, each cap the first counts[q]."""
     cumulative = np.concatenate(([0.0], np.cumsum(prices)))
     return cumulative[counts]
 
 
-def _finish(method, schedule, quotes, market, taus, values, caplet_vols, config, **kw):
+def _finish(method, schedule, table, quotes, market, taus, values, caplet_vols, config, **kw):
     counts = _caplet_counts(schedule, quotes)
-    fixings = schedule.fixing_times[: counts[-1]]
-    model = _model_cap_prices(schedule, quotes.strike, caplet_vols, counts)
+    model = _cap_sums(table.price(caplet_vols), counts)
     return StripResult(
         method=method,
         quote_months=quotes.maturities_months.copy(),
@@ -279,50 +274,55 @@ def _finish(method, schedule, quotes, market, taus, values, caplet_vols, config,
         residuals_bp=(model - market) * 1e4,
         node_times=taus,
         node_values=np.asarray(values, dtype=float),
-        caplet_times=fixings,
+        caplet_times=schedule.fixing_times[: counts[-1]],
         caplet_vols=caplet_vols,
         config=config,
         **kw,
     )
 
 
-def _newton_node(terms, fixed, column, target, start, vol_map):
+def _newton_node(table, fixed, column, target, start, vol_map, moving=None, line=None,
+                 zero_first=False):
     """A bootstrap node on the curve fixed + x * column, by safeguarded Newton.
 
     Returns (x, clamped), or None when the caller should run the bracketed
     Brent solve instead: the slope is not positive, a step goes beyond
     BRACKET_LIMIT, or NEWTON_MAX_ITER steps do not settle the node.
-    Caplets where column == 0 do not move with x, so their prices are
-    summed once, at the start; only the rest are repriced. Each step is
-    Newton's on the exact slope sum(vega * column * dvol/dcurve), with
-    Halley's correction from the exact curvature
-    sum(vomma * column^2 * dvol/dcurve) (the zero floor is linear off its
-    kink). Each residual's sign narrows the bracket [lo, up], and a step
-    that leaves it bisects. The node clamps at 0 when zero vol already
-    overprices the cap: seen at once when the moving caplets' intrinsic
-    does, else tested when a step reaches zero.
+    table prices the cap's caplets. moving marks those whose vols x can
+    move, by default those where column != 0; the others are priced once,
+    at the first iterate, and only the rest are repriced. Where the line
+    itself depends on x (hyman's slope clamps), line(x) re-reads
+    (fixed, column) at each later iterate. Each step is Newton's on the
+    exact slope sum(vega * column * dvol/dcurve), with Halley's correction
+    from the exact curvature sum(vomma * column^2 * dvol/dcurve) (the zero
+    floor is linear off its kink). Each residual's sign narrows the
+    bracket [lo, up], and a step that leaves it bisects. The node clamps
+    at 0 when zero vol already overprices the cap: seen at once when the
+    moving caplets' intrinsic does, else tested when an iterate reaches
+    zero, or first of all with zero_first (then the second iterate is start).
     """
-    moving = column != 0.0
+    if moving is None:
+        moving = column != 0.0
     offset = -target
     lo, up, zero_tested = 0.0, math.inf, False
-    x = start
+    x = 0.0 if zero_first else start
+    first = True
     for _ in range(NEWTON_MAX_ITER):
+        if line is not None and not first:
+            fixed, column = (a[moving] for a in line(x))
         curve = fixed + x * column
         vols = vol_map(curve)
-        prices, vegas, vommas = bachelier.price_greeks_vector(*terms, vols)
-        if moving is not None:
+        prices, vegas, vommas = table.price_greeks(vols)
+        if first:
+            first = False
             # the caplets that do not move keep these prices at every x
             offset += prices[~moving].sum()
-            forwards, strike, expiries, accruals, discounts = (
-                a[moving] if np.ndim(a) else a for a in terms
-            )
-            terms = (forwards, strike, expiries, accruals, discounts)
+            table = table[moving]
             fixed, column, curve, vols, prices, vegas, vommas = (
                 a[moving] for a in (fixed, column, curve, vols, prices, vegas, vommas)
             )
-            moving = None
             # no vol prices below intrinsic: if that overprices, so does zero vol
-            if offset + bachelier.intrinsic_vector(forwards, strike, accruals, discounts).sum() >= 0:
+            if offset + table.intrinsic.sum() >= 0:
                 return 0.0, True
         residual = offset + prices.sum()
         zero_tested = zero_tested or x == 0.0
@@ -334,6 +334,9 @@ def _newton_node(terms, fixed, column, target, start, vol_map):
             lo = x
         if residual == 0.0:
             return x, False
+        if zero_first:
+            zero_first, x = False, start
+            continue
         weights = vol_map.slope(curve, vols) * column
         slope = vegas @ weights
         if not slope > 0.0:
@@ -391,55 +394,68 @@ def bootstrap_sequential(schedule, quotes, config=None):
     return _bootstrap(schedule, quotes, config)
 
 
-def _bootstrap(schedule, quotes, config, market=None):
+def _bootstrap(schedule, quotes, config, market=None, table=None):
     counts = _caplet_counts(schedule, quotes)
     taus = _node_times(schedule, quotes, config)
     if market is None:
         market = diagnostics.cap_prices(schedule, quotes)
+    if table is None:
+        table = _caplet_table(schedule, quotes.strike, counts[-1])
     vol_map = VolMap.of(config, "bootstrap")
-    delta = schedule.tenor_months / 12.0
-    values = []
+    family, beta, delta = config.family, config.beta, schedule.tenor_months / 12.0
+    times = schedule.fixing_times[: counts[-1]]
+    local = family not in ("cubic", "hyman")
+    if local:
+        # on cap q's fixings, the curve through nodes 0..q is the whole
+        # ladder's with every later node tied to node q: its column is the
+        # sum of W's columns from q on
+        weights = basis_matrix(family, taus, times, beta, delta)
+        tied = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]
+    values = np.zeros(len(quotes))
     clamped = []
-    for q in range(len(quotes)):
-        # cap q alone, on the curve through nodes 0..q
-        node_times, times = taus[: q + 1], schedule.fixing_times[: counts[q]]
-        target = market[q]
-        solved = None
-        if _linear_in_values(config.family):
-            # fixed + x * column in the new node's value x, from the basis of nodes 0..q
-            prefix = basis_matrix(config.family, node_times, times, config.beta, delta)
-            fixed, column = prefix[:, :q] @ values, prefix[:, q]
-            # start at the flat vol, the one vol that prices the whole cap
-            solved = _newton_node(
-                _caplet_terms(schedule, quotes.strike, counts[q]),
-                fixed, column, target, quotes.flat_vols[q], vol_map,
-            )
-
-            def curve(x):
-                return fixed + x * column
-
+    for q, rows in enumerate(counts):
+        # cap q alone, on the curve fixed + x * column through nodes 0..q
+        known = values[:q]
+        moving = line = None
+        if local:
+            fixed, column = weights[:rows, :q] @ known, tied[:rows, q]
+        elif family == "cubic":
+            prefix = basis_matrix(family, taus[: q + 1], times[:rows], beta, delta)
+            fixed, column = prefix[:, :q] @ known, prefix[:, q]
         else:
-            basis = CurveBasis(config.family, node_times, times, config.beta, delta)
+            basis = CurveBasis(family, taus[: q + 1], times[:rows], beta, delta)
 
-            def curve(x):
-                return basis(np.append(values, x))
+            def line(x):
+                # hyman is linear in its values on each slope-clamp set
+                matrix = basis.matrix(np.append(known, x))
+                return matrix[:, :q] @ known, matrix[:, q]
 
+            # zero vol is tested first, as the bracketed solve does; node q
+            # reaches back through the slopes of nodes q-1 and q only
+            fixed, column = line(0.0)
+            moving = times[:rows] > taus[q - 2] if q >= 2 else np.full(rows, True)
+        caplets = table[:rows]
+        # start at the flat vol, the one vol that prices the whole cap
+        solved = _newton_node(
+            caplets, fixed, column, market[q], quotes.flat_vols[q], vol_map, moving, line,
+            zero_first=family == "hyman",
+        )
         if solved is None:
-            solved = _bracketed_node(
-                lambda x: _model_cap_prices(
-                    schedule, quotes.strike, vol_map(curve(x)), counts[q : q + 1]
-                )[-1],
-                target,
-            )
-        value, at_clamp = solved
-        values.append(value)
+
+            def cap_price(x):
+                at_x = (fixed, column) if line is None else line(x)
+                return np.cumsum(caplets.price(vol_map(at_x[0] + x * at_x[1])))[-1]
+
+            solved = _bracketed_node(cap_price, market[q])
+        values[q], at_clamp = solved
         if at_clamp:
             clamped.append(int(quotes.maturities_months[q]))
-    final = VolCurve(config.family, taus, values, beta=config.beta, delta=delta)
-    caplet_vols = vol_map(final(schedule.fixing_times[: counts[-1]]))
+    final = VolCurve(family, taus, values, beta=beta, delta=delta)
+    caplet_vols = vol_map(final(times))
     result = _finish(
         "bootstrap",
         schedule,
+        table,
         quotes,
         market,
         taus,
@@ -474,7 +490,9 @@ def strip_global(schedule, quotes, config=None):
     # linear-family bootstrap start: family-neutral and free of the spline
     # overshoot a same-family start can bake into the frozen directions
     init_family = "flat" if config.family == "flat" else "linear"
-    init = _bootstrap(schedule, quotes, replace(config, family=init_family), market).node_values
+    init = _bootstrap(
+        schedule, quotes, replace(config, family=init_family), market, core.table
+    ).node_values
     lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
     # under 'exp' the family interpolates log-vols
     x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)
@@ -498,7 +516,8 @@ def strip_global(schedule, quotes, config=None):
     vols = core.evaluate(fit.x).vols
     values = vol_map(fit.x) if vol_map.log else fit.x
     result = _finish(
-        "global", schedule, quotes, market, taus, values, vols, config, iterations=fit.nfev
+        "global", schedule, core.table, quotes, market, taus, values, vols, config,
+        iterations=fit.nfev,
     )
     # whichever test stopped the solver, only a repriced ladder has converged
     result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
@@ -549,22 +568,22 @@ def strip_time_value(schedule, quotes, config=None):
     )
     market = diagnostics.cap_prices(schedule, kept)
     n = _caplet_counts(schedule, kept)[-1]
+    table = _caplet_table(schedule, kept.strike, n)
 
     knot_t = np.concatenate(([0.0], months / 12.0))
     knot_tv = np.concatenate(([0.0], tv))
     tv_at_pay = build_monotone_c2(knot_t, knot_tv)(schedule.pay_times[:n])
     levels = np.maximum.accumulate(np.maximum(tv_at_pay, 0.0))
-    forwards, expiries = schedule.forwards[:n], schedule.fixing_times[:n]
-    accruals, discounts = schedule.accruals[:n], schedule.discounts[:n]
-    intrinsic = bachelier.intrinsic_vector(forwards, kept.strike, accruals, discounts)
-    targets = intrinsic + np.diff(levels, prepend=0.0)
+    targets = table.intrinsic + np.diff(levels, prepend=0.0)
     caplet_vols = bachelier.implied_vol_vector(
-        forwards, kept.strike, expiries, accruals, discounts, targets
+        schedule.forwards[:n], kept.strike, schedule.fixing_times[:n],
+        schedule.accruals[:n], schedule.discounts[:n], targets,
     )
 
     return _finish(
         "tv",
         schedule,
+        table,
         kept,
         market,
         months / 12.0,

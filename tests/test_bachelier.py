@@ -241,3 +241,31 @@ def test_price_greeks_vector_matches_price_vega_and_differences():
     np.testing.assert_array_equal(prices[2:8], intrinsic[2:8])
     assert np.all(vegas[2:8] == 0.0) and np.all(vommas[2:] == 0.0)
     assert vegas[8] > 0.0  # at the money the vega keeps its zero-vol limit
+
+
+def test_caplet_table_rows_price_as_their_own_table():
+    """A table sliced to some caplets prices them as a table built from
+    their terms, to the bit; its intrinsic is intrinsic_vector's."""
+    rng = np.random.default_rng(3)
+    n = 200
+    strike = 0.018
+    forwards = np.where(np.arange(n) % 7 == 0, strike, rng.uniform(-0.01, 0.05, n))
+    expiries = rng.uniform(1.0 / 12.0, 30.0, n)
+    accruals = np.full(n, 1.0 / 12.0)
+    discounts = rng.uniform(0.5, 1.0, n)
+    vols = np.where(np.arange(n) % 5 == 0, 0.0, rng.uniform(0.0, 0.03, n))
+    table = cs.bachelier.CapletTable(forwards, strike, expiries, accruals, discounts)
+    for rows in (slice(None), slice(17, 140), rng.random(n) < 0.4, np.arange(n)[::-3]):
+        terms = (forwards[rows], strike, expiries[rows], accruals[rows], discounts[rows])
+        part = table[rows]
+        np.testing.assert_array_equal(part.price(vols[rows]), cs.price_vector(*terms, vols[rows]))
+        np.testing.assert_array_equal(part.vega(vols[rows]), cs.vega_vector(*terms, vols[rows]))
+        prices, vegas = part.price_vega(vols[rows])
+        greeks = cs.bachelier.price_greeks_vector(*terms, vols[rows])
+        np.testing.assert_array_equal(prices, greeks[0])
+        np.testing.assert_array_equal(vegas, greeks[1])
+        for got, want in zip(part.price_greeks(vols[rows]), greeks):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            part.intrinsic, cs.intrinsic_vector(terms[0], strike, terms[3], terms[4])
+        )

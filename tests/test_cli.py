@@ -16,12 +16,13 @@ from click.testing import CliRunner
 from capstrip import (
     CapQuoteSet,
     StripConfig,
+    StripResult,
     ZeroCurve,
     bootstrap_sequential,
     build_schedule,
     strip_global,
 )
-from capstrip.cli import RunConfig, evaluated_curve, main, run_pipeline
+from capstrip.cli import RunConfig, _daily_curve_text, evaluated_curve, main, run_pipeline
 
 DATA = Path(__file__).parent / "data"
 ARTIFACTS = ("diagnostics.csv", "outliers.csv", "strip.csv", "strip.json", "volcurve_daily.csv")
@@ -360,3 +361,34 @@ def test_evaluated_curve_is_the_priced_curve(method, config):
     result = engine(schedule, quotes, config)
     sampled = evaluated_curve(result)(result.caplet_times)
     np.testing.assert_allclose(sampled, result.caplet_vols, rtol=1e-12, atol=1e-18)
+
+
+def test_daily_curve_text_matches_the_per_line_format():
+    halves_bp = np.array([0.00005, 1.23455, 99.99995, 1234.56785])
+    # vols up to three ulps either side of each 4-decimal half, once scaled to bp
+    near = list(halves_bp * 1e-4)
+    for vol in halves_bp * 1e-4:
+        below = above = vol
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            near += [below, above]
+    # -0.0, values that print as -0.0000, and vols above 1000 bp
+    vols = np.array([-0.0, 0.0, -4e-9, -5e-9, 4e-9, 0.100000005, 0.25, 9.876543215] + near)
+    # one caplet per day: day d reads caplet d - 1
+    times = np.arange(1, len(vols) + 1) / 365.0
+    result = StripResult(
+        method="tv", quote_months=np.array([2]), market_prices_bp=np.ones(1),
+        residuals_bp=np.zeros(1), node_times=times[:1], node_values=np.ones(1),
+        caplet_times=times, caplet_vols=vols,
+    )
+    sampled_bp = evaluated_curve(result)(times) * 1e4
+    assert np.array_equal(sampled_bp, vols * 1e4)
+    assert math.copysign(1.0, sampled_bp[0]) == -1.0
+    for half in halves_bp:
+        assert np.any(sampled_bp < half) and np.any(sampled_bp > half)
+    expected = "\n".join(
+        ["t_years,caplet_vol_bp"] + ["%.6f,%.4f" % (t, v) for t, v in zip(times, sampled_bp)]
+    ) + "\n"
+    text = _daily_curve_text(result, 1)
+    assert text == expected
+    assert ",-0.0000\n" in text and ",1234.5678\n" in text and ",1234.5679\n" in text

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import capstrip as cs
@@ -10,6 +12,30 @@ from capstrip.vol_interpolation import hyman_slopes
 
 def _counts(schedule, months):
     return np.array([schedule.caplet_count(m) for m in months])
+
+
+KERNELS = ("price", "vega", "price_vega", "price_greeks")
+
+
+def _count_kernel_passes(monkeypatch):
+    """Hook every pricing kernel of CapletTable; returns the list of passes.
+
+    price_vector and the other vector functions price through these
+    kernels, so each pass over caplets is counted once, whoever makes it.
+    """
+    passes = []
+
+    def counted(name, kernel):
+        def wrapper(self, vols):
+            passes.append(name)
+            return kernel(self, vols)
+
+        return wrapper
+
+    for name in KERNELS:
+        kernel = getattr(cs.bachelier.CapletTable, name)
+        monkeypatch.setattr(cs.bachelier.CapletTable, name, counted(name, kernel))
+    return passes
 
 
 def _cap_prices_from_nodes(schedule, strike, family, taus, values, months, beta=1.0):
@@ -147,22 +173,13 @@ def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, 
     config = cs.StripConfig(family=family)
     # the market prices are the caller's (the global solver passes its own)
     market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
-    calls = []
-
-    def counted(price):
-        def wrapper(*args, **kwargs):
-            calls.append(price)
-            return price(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("price_vector", "price_greeks_vector"):
-        monkeypatch.setattr(cs.bachelier, name, counted(getattr(cs.bachelier, name)))
+    passes = _count_kernel_passes(monkeypatch)
     result = cs.stripping._bootstrap(schedule, ladder_quotes, config, market)
     monkeypatch.undo()
 
-    if family != "hyman":
-        assert len(calls) < 40
+    # one kernel pass per Newton step (the first prices the whole prefix
+    # once and splits it); hyman also tests zero vol first
+    assert len(passes) < (60 if family == "hyman" else 40)
     # each node not clamped prices its cap on the curve through nodes 0..q
     months = ladder_quotes.maturities_months
     for q, month in enumerate(months):
@@ -175,6 +192,59 @@ def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, 
         assert abs(model - market[q]) * 1e4 <= 1e-10
     if ladder == "raw" and family == "flat":
         assert result.clamped_months == [4, 5, 6, 24]
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+@pytest.mark.parametrize("family", cs.FAMILIES)
+def test_bootstrap_builds_one_basis_per_ladder(
+    monkeypatch, schedule, quotes, clean_quotes, family, ladder
+):
+    """The local families read every node off one basis of the whole ladder;
+    cubic, not local, builds one per node, and hyman builds its own."""
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    builds = []
+    basis_matrix = cs.stripping.basis_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(len(args[1]))
+        return basis_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(cs.stripping, "basis_matrix", counted)
+    cs.stripping._bootstrap(schedule, ladder_quotes, cs.StripConfig(family=family))
+    monkeypatch.undo()
+    nodes = len(ladder_quotes)
+    expected = {"cubic": list(range(1, nodes + 1)), "hyman": []}.get(family, [nodes])
+    assert builds == expected
+
+
+@pytest.mark.parametrize("family", ["linear", "cubic", "hyman"])
+def test_jacobian_makes_no_kernel_pass(monkeypatch, schedule, clean_quotes, family):
+    config = cs.StripConfig(family=family, placement="mid")
+    counts = _counts(schedule, clean_quotes.maturities_months)
+    core = EvaluationCore(schedule, 0.0, counts, _fixture_nodes(clean_quotes), config, VolMap())
+    x = 70e-4 + 8e-4 * np.sin(np.arange(len(counts)))
+    passes = _count_kernel_passes(monkeypatch)
+    point = core.evaluate(x)
+    assert passes == ["price_vega"]
+    core.jacobian(point)
+    assert passes == ["price_vega"]
+
+
+@pytest.mark.parametrize("ladder, clamped", [("clean", [5]), ("raw", [4, 5, 6, 24, 60, 84])])
+def test_hyman_newton_agrees_with_the_bracketed_solve(
+    monkeypatch, schedule, quotes, clean_quotes, ladder, clamped
+):
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    config = cs.StripConfig(family="hyman")
+    newton = cs.stripping._bootstrap(schedule, ladder_quotes, config)
+    # every node through bracket doubling and Brent
+    monkeypatch.setattr(cs.stripping, "_newton_node", lambda *args, **kwargs: None)
+    bracketed = cs.stripping._bootstrap(schedule, ladder_quotes, config)
+    monkeypatch.undo()
+    gap = np.abs(newton.node_values - bracketed.node_values)
+    assert np.all(gap <= 1e-12 * np.abs(bracketed.node_values))
+    assert newton.clamped_months == bracketed.clamped_months == clamped
+    assert newton.stop_reason == bracketed.stop_reason == "clamped"
 
 
 @pytest.mark.parametrize("ladder", ["raw", "clean"])
@@ -278,6 +348,60 @@ def test_round_trip_recovers_known_nodes(schedule, quotes):
     boot = cs.bootstrap_sequential(schedule, synth, cs.StripConfig(family="flat"))
     assert boot.clamped_months == []
     assert boot.max_abs_residual_bp <= 1e-10
+
+
+LOCAL_FAMILIES = ("flat", "flat-linear", "flat-smooth", "cosine", "quintic", "linear")
+# at the 200 bp strike the caplets sit near the money; far in the money a
+# node can move its cap's price by less than the price's round-off
+ROUND_TRIP_STRIKE = 0.02
+
+
+@pytest.fixture(scope="session")
+def tenor_schedules(forward_curve, discount_curve):
+    return {
+        tenor: cs.build_schedule(forward_curve, discount_curve, 180, tenor) for tenor in (1, 3)
+    }
+
+
+@st.composite
+def _exact_ladders(draw):
+    """A local family, its beta, at-maturity nodes on a 1M or 3M grid, and node values."""
+    family = draw(st.sampled_from(LOCAL_FAMILIES))
+    beta = draw(st.floats(min_value=0.0, max_value=1.0))
+    tenor = draw(st.sampled_from([1, 3]))
+    steps = st.integers(min_value=2, max_value=40)
+    months = np.array(sorted(draw(st.lists(steps, min_size=1, max_size=8, unique=True)))) * tenor
+    values_bp = st.floats(min_value=30.0, max_value=200.0)
+    values = draw(st.lists(values_bp, min_size=len(months), max_size=len(months)))
+    return family, beta, tenor, months, np.array(values) * 1e-4
+
+
+@given(_exact_ladders())
+@settings(max_examples=25, deadline=None)
+def test_bootstrap_round_trip_recovers_the_nodes(tenor_schedules, ladder):
+    """Caps priced off a known curve, quoted as flat vols, bootstrap back to its nodes."""
+    family, beta, tenor, months, values = ladder
+    schedule = tenor_schedules[tenor]
+    taus = cs.place_nodes(months, tenor, "maturity")
+    counts = _counts(schedule, months)
+    n = counts[-1]
+    curve = cs.VolCurve(family, taus, values, beta=beta, delta=tenor / 12.0)
+    prices = cs.price_vector(
+        schedule.forwards[:n], ROUND_TRIP_STRIKE, schedule.fixing_times[:n],
+        schedule.accruals[:n], schedule.discounts[:n], curve(schedule.fixing_times[:n]),
+    )
+    def flat_vol(month, price):
+        return brentq(
+            lambda v: cs.cap_price_from_flat_vol(schedule, month, v, ROUND_TRIP_STRIKE) - price,
+            1e-4, 0.05, xtol=1e-16, rtol=8.9e-16,
+        )
+
+    flats = [flat_vol(m, np.sum(prices[:c])) for m, c in zip(months, counts)]
+    quotes = cs.CapQuoteSet(months, flats, ROUND_TRIP_STRIKE)
+    result = cs.bootstrap_sequential(schedule, quotes, cs.StripConfig(family=family, beta=beta))
+    assert result.clamped_months == []
+    np.testing.assert_allclose(result.node_values, values, rtol=1e-9, atol=0)
+    assert result.max_abs_residual_bp <= 1e-9
 
 
 def test_global_matches_quotes_per_family(schedule, clean_quotes):
