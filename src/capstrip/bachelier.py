@@ -27,6 +27,7 @@ from scipy.special import erfcx
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / _SQRT_2PI
 _SQRT_2 = math.sqrt(2.0)
+_TINY = np.finfo(float).tiny  # the smallest positive normal float
 _BRACKET_DOUBLINGS = 200
 _NEWTON_MAX_ITER = 100
 
@@ -69,7 +70,10 @@ class CapletTable:
     kernels price, vega, price_vega and price_greeks each take one vector
     of vols and make one pass over the table; price_vector, vega_vector
     and price_greeks_vector are these kernels on a fresh table, to the bit.
-    table[rows] is the table of those caplets.
+    A pass whose s = vol * sqrt(t) are all positive normal floats, the
+    common case, runs without masks; one zero, negative, subnormal or NaN
+    s sends the whole pass down the masked path, which gives the same
+    bits wherever s > 0. table[rows] is the table of those caplets.
     """
 
     _FIELDS = ("base", "abs_moneyness", "itm", "root_t", "base_root_t", "atm", "intrinsic")
@@ -93,9 +97,15 @@ class CapletTable:
     def _gaussian(self, s):
         """(live, q, exp(-q^2/2)) for q = |F - K| / s, the terms price and greeks share.
 
-        live marks s > 0; q means nothing where s <= 0. q is capped at 1e9,
-        where exp(-q^2/2) is 0 already, so that subnormal s does not overflow it.
+        live is None when every s is a positive normal float, the common
+        case: then no term needs a mask. Otherwise live marks s > 0, and q
+        means nothing where s <= 0; q is capped at 1e9, where exp(-q^2/2) is
+        0 already, so that subnormal s does not overflow it.
         """
+        if s.size and s.min() >= _TINY:
+            # a normal s keeps |F - K| / s finite for |F - K| < 4 (40,000 bp)
+            q = np.minimum(self.abs_moneyness / s, 1e9)
+            return None, q, np.exp(-0.5 * q * q)
         live = s > 0.0
         with np.errstate(over="ignore"):
             q = np.minimum(self.abs_moneyness / np.where(live, s, 1.0), 1e9)
@@ -103,12 +113,17 @@ class CapletTable:
 
     def _price(self, s, live, q, decay):
         """Prices at s = vol * sqrt(t); s <= 0 prices as intrinsic."""
-        return self.base * (self.itm + np.where(live, _time_value(s, q, decay), 0.0))
+        time_value = _time_value(s, q, decay)
+        if live is not None:
+            time_value = np.where(live, time_value, 0.0)
+        return self.base * (self.itm + time_value)
 
     def _vega(self, live, decay):
         """B*delta * sqrt(t) * phi(q); where s <= 0, its s -> 0+ limit:
         phi(0) at the money, else 0."""
-        return self.base_root_t * (np.where(live | self.atm, decay, 0.0) / _SQRT_2PI)
+        if live is not None:
+            decay = np.where(live | self.atm, decay, 0.0)
+        return self.base_root_t * (decay / _SQRT_2PI)
 
     def price(self, vols):
         """Caplet prices; vols at or below zero price as intrinsic."""
@@ -136,8 +151,10 @@ class CapletTable:
         one-sided limit).
         """
         prices, vega, live, q = self._price_vega(vols)
-        # where s <= 0, vega * q^2 is 0: q = 0 at the money, vega = 0 elsewhere
-        return prices, vega, vega * q * q / np.where(live, vols, 1.0)
+        if live is not None:
+            # where s <= 0, vega * q^2 is 0: q = 0 at the money, vega = 0 elsewhere
+            vols = np.where(live, vols, 1.0)
+        return prices, vega, vega * q * q / vols
 
 
 def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=False):

@@ -26,6 +26,7 @@ from .vol_interpolation import (
     check_beta,
     hermite_basis,
     hyman_slopes,
+    natural_slope_map,
 )
 
 BRACKET_START = 0.05  # 500 bp
@@ -281,18 +282,19 @@ def _finish(method, schedule, table, quotes, market, taus, values, caplet_vols, 
     )
 
 
-def _newton_node(table, fixed, column, target, start, vol_map, moving=None, line=None,
+def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
                  zero_first=False):
     """A bootstrap node on the curve fixed + x * column, by safeguarded Newton.
 
     Returns (x, clamped), or None when the caller should run the bracketed
     Brent solve instead: the slope is not positive, a step goes beyond
     BRACKET_LIMIT, or NEWTON_MAX_ITER steps do not settle the node.
-    table prices the cap's caplets. moving marks those whose vols x can
-    move, by default those where column != 0; the others are priced once,
-    at the first iterate, and only the rest are repriced. Where the line
-    itself depends on x (hyman's slope clamps), line(x) re-reads
-    (fixed, column) at each later iterate. Each step is Newton's on the
+    table prices the cap's caplets, and split = (held, moving) indexes
+    them (_split_rows): moving marks those whose vols x can move. The held
+    ones are priced once, at the first iterate, and only the moving ones
+    are repriced. Where the line itself depends on x (hyman's slope
+    clamps), line(x) re-reads (fixed, column) on the moving caplets at
+    each later iterate. Each step is Newton's on the
     exact slope sum(vega * column * dvol/dcurve), with Halley's correction
     from the exact curvature sum(vomma * column^2 * dvol/dcurve) (the zero
     floor is linear off its kink). Each residual's sign narrows the
@@ -301,22 +303,21 @@ def _newton_node(table, fixed, column, target, start, vol_map, moving=None, line
     moving caplets' intrinsic does, else tested when an iterate reaches
     zero, or first of all with zero_first (then the second iterate is start).
     """
-    if moving is None:
-        moving = column != 0.0
+    held, moving = split
     offset = -target
     lo, up, zero_tested = 0.0, math.inf, False
     x = 0.0 if zero_first else start
     first = True
     for _ in range(NEWTON_MAX_ITER):
         if line is not None and not first:
-            fixed, column = (a[moving] for a in line(x))
+            fixed, column = line(x)
         curve = fixed + x * column
         vols = vol_map(curve)
         prices, vegas, vommas = table.price_greeks(vols)
         if first:
             first = False
             # the caplets that do not move keep these prices at every x
-            offset += prices[~moving].sum()
+            offset += prices[held].sum()
             table = table[moving]
             fixed, column, curve, vols, prices, vegas, vommas = (
                 a[moving] for a in (fixed, column, curve, vols, prices, vegas, vommas)
@@ -358,6 +359,18 @@ def _newton_node(table, fixed, column, target, start, vol_map, moving=None, line
     return None
 
 
+def _split_rows(moving):
+    """(held, moving) row indexers for a mask of the caplets a node moves.
+
+    Slices when the moving caplets are a contiguous tail, so that the held
+    sum and the narrowing to the moving caplets make views; else masks.
+    """
+    rows = np.flatnonzero(moving)
+    if rows.size and rows[0] + rows.size == moving.size:
+        return slice(rows[0]), slice(rows[0], None)
+    return ~moving, moving
+
+
 def _bracketed_node(cap_price, target):
     """A bootstrap node by bracket doubling and Brent: returns (x, clamped)."""
     if cap_price(0.0) >= target:
@@ -394,7 +407,8 @@ def bootstrap_sequential(schedule, quotes, config=None):
     return _bootstrap(schedule, quotes, config)
 
 
-def _bootstrap(schedule, quotes, config, market=None, table=None):
+def _bootstrap(schedule, quotes, config, market=None, table=None, nodes_only=False):
+    """The sequential bootstrap's StripResult, or with nodes_only its node values alone."""
     counts = _caplet_counts(schedule, quotes)
     taus = _node_times(schedule, quotes, config)
     if market is None:
@@ -411,45 +425,47 @@ def _bootstrap(schedule, quotes, config, market=None, table=None):
         # sum of W's columns from q on
         weights = basis_matrix(family, taus, times, beta, delta)
         tied = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]
+    else:
+        if config.placement != "maturity":
+            raise InputError(f"the {family} bootstrap needs at-maturity nodes")
+        # at-maturity nodes put cap q's fixings at or before node q, where the
+        # Hermite basis of nodes 0..q is the ladder's cut to its first q + 1 columns
+        hermite = hermite_basis(taus, times)
     values = np.zeros(len(quotes))
     clamped = []
     for q, rows in enumerate(counts):
         # cap q alone, on the curve fixed + x * column through nodes 0..q
         known = values[:q]
-        moving = line = None
+        line = None
         if local:
             fixed, column = weights[:rows, :q] @ known, tied[:rows, q]
         elif family == "cubic":
-            prefix = basis_matrix(family, taus[: q + 1], times[:rows], beta, delta)
+            prefix = _cubic_prefix(hermite, taus, times[:rows], q)
             fixed, column = prefix[:, :q] @ known, prefix[:, q]
         else:
-            basis = CurveBasis(family, taus[: q + 1], times[:rows], beta, delta)
-
-            def line(x):
-                # hyman is linear in its values on each slope-clamp set
-                matrix = basis.matrix(np.append(known, x))
-                return matrix[:, :q] @ known, matrix[:, q]
-
+            line, start = _hyman_line(hermite, taus, times[:rows], known)
             # zero vol is tested first, as the bracketed solve does; node q
             # reaches back through the slopes of nodes q-1 and q only
-            fixed, column = line(0.0)
-            moving = times[:rows] > taus[q - 2] if q >= 2 else np.full(rows, True)
+            fixed, column = line(0.0, slice(None))
+        split = _split_rows(column != 0.0) if line is None else (slice(start), slice(start, None))
         caplets = table[:rows]
         # start at the flat vol, the one vol that prices the whole cap
         solved = _newton_node(
-            caplets, fixed, column, market[q], quotes.flat_vols[q], vol_map, moving, line,
+            caplets, fixed, column, market[q], quotes.flat_vols[q], vol_map, split, line,
             zero_first=family == "hyman",
         )
         if solved is None:
 
             def cap_price(x):
-                at_x = (fixed, column) if line is None else line(x)
+                at_x = (fixed, column) if line is None else line(x, slice(None))
                 return np.cumsum(caplets.price(vol_map(at_x[0] + x * at_x[1])))[-1]
 
             solved = _bracketed_node(cap_price, market[q])
         values[q], at_clamp = solved
         if at_clamp:
             clamped.append(int(quotes.maturities_months[q]))
+    if nodes_only:
+        return values
     final = VolCurve(family, taus, values, beta=beta, delta=delta)
     caplet_vols = vol_map(final(times))
     result = _finish(
@@ -467,6 +483,46 @@ def _bootstrap(schedule, quotes, config, market=None, table=None):
     )
     result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
     return result
+
+
+def _cubic_prefix(hermite, taus, times, q):
+    """basis_matrix("cubic", taus[:q+1], times) for fixings at or before node q.
+
+    There the ladder's Hermite basis (A, B), cut to nodes 0..q, is the one
+    of nodes 0..q, so only the slope map of nodes 0..q is built; below
+    three nodes the natural cubic is linear, and basis_matrix builds that.
+    """
+    if q < 2:
+        return basis_matrix("cubic", taus[: q + 1], times)
+    values_part, slopes_part = (a[: len(times), : q + 1] for a in hermite)
+    return values_part + slopes_part @ natural_slope_map(taus[: q + 1])
+
+
+def _hyman_line(hermite, taus, times, known):
+    """hyman's curve through nodes 0..q on cap q's fixings `times`, as
+    (line, start): line(x, part) gives (fixed, column) at node q's value x
+    on the rows `part`, by default those from `start`, the first fixing
+    after node q-2; x moves no earlier one.
+
+    The spline is linear in its values on each slope-clamp set, so its
+    matrix is A + B @ S(v), with (A, B) the ladder's Hermite basis cut to
+    nodes 0..q. Only the slope rows of nodes q-1 and q depend on x, and
+    node q-1's reads nodes q-2..q, so each call recomputes those two rows
+    on that window of nodes.
+    """
+    q, rows = len(known), len(times)
+    values_part, slopes_part = (a[:rows, : q + 1] for a in hermite)
+    slope_map = hyman_slopes(taus[: q + 1], np.append(known, 0.0))[1]
+    moved, window = max(q - 1, 0), max(q - 2, 0)
+    start = np.searchsorted(times, taus[q - 2], side="right") if q >= 2 else 0
+
+    def line(x, part=slice(start, None)):
+        window_map = hyman_slopes(taus[window : q + 1], np.append(known[window:], x))[1]
+        slope_map[moved:, window:] = window_map[moved - window :]
+        matrix = values_part[part] + slopes_part[part] @ slope_map
+        return matrix[:, :q] @ known, matrix[:, q]
+
+    return line, start
 
 
 def strip_global(schedule, quotes, config=None):
@@ -491,8 +547,9 @@ def strip_global(schedule, quotes, config=None):
     # overshoot a same-family start can bake into the frozen directions
     init_family = "flat" if config.family == "flat" else "linear"
     init = _bootstrap(
-        schedule, quotes, replace(config, family=init_family), market, core.table
-    ).node_values
+        schedule, quotes, replace(config, family=init_family), market, core.table,
+        nodes_only=True,
+    )
     lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
     # under 'exp' the family interpolates log-vols
     x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)

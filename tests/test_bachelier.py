@@ -269,3 +269,47 @@ def test_caplet_table_rows_price_as_their_own_table():
         np.testing.assert_array_equal(
             part.intrinsic, cs.intrinsic_vector(terms[0], strike, terms[3], terms[4])
         )
+
+
+def _kernel_outputs(table, name, vols):
+    outputs = getattr(table, name)(vols)
+    return outputs if isinstance(outputs, tuple) else (outputs,)
+
+
+def test_lean_and_masked_kernel_paths_agree_to_the_bit():
+    """Vols whose s = vol * sqrt(t) are all positive normal floats take the
+    kernels' lean path, without masks; one zero vol among them takes the
+    masked path. Both give the same bits, and a subnormal s warns of nothing."""
+    rng = np.random.default_rng(7)
+    strike = 0.02
+    # at the money, deep in the money, far out of the money, then a spread;
+    # the last caplet is the zero-vol one that forces the masked path
+    moneyness = np.concatenate(
+        ([0.0, 0.0, 0.04, 0.06, -0.05, -0.018], rng.uniform(-0.02, 0.03, 40), [0.01])
+    )
+    n = len(moneyness) - 1
+    forwards = strike + moneyness
+    expiries = rng.uniform(1.0 / 12.0, 30.0, n + 1)
+    accruals = np.full(n + 1, 1.0 / 12.0)
+    discounts = rng.uniform(0.5, 1.0, n + 1)
+    padded = cs.bachelier.CapletTable(forwards, strike, expiries, accruals, discounts)
+    table = cs.bachelier.CapletTable(
+        forwards[:n], strike, expiries[:n], accruals[:n], discounts[:n]
+    )
+    # 1e-300 is normal; far from the money it sends q to its cap
+    vols = np.concatenate(([0.004, 1e-300, 1e-300], rng.uniform(1e-5, 0.03, n - 3)))
+    padded_vols = np.append(vols, 0.0)
+    assert table._gaussian(vols * table.root_t)[0] is None
+    assert padded._gaussian(padded_vols * padded.root_t)[0] is not None
+    for name in ("price", "vega", "price_vega", "price_greeks"):
+        lean = _kernel_outputs(table, name, vols)
+        masked = _kernel_outputs(padded, name, padded_vols)
+        for got, want in zip(lean, masked, strict=True):
+            np.testing.assert_array_equal(got, want[:n])
+
+    subnormal = vols.copy()
+    subnormal[[1, 2, 4]] = 1e-310  # at, in and out of the money
+    assert table._gaussian(subnormal * table.root_t)[0] is not None
+    for name in ("price", "vega", "price_vega", "price_greeks"):
+        for outputs in _kernel_outputs(table, name, subnormal):
+            assert np.all(np.isfinite(outputs))

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 import capstrip as cs
 from capstrip.cli import _STANDARD_ROWS, compare_methods
 from capstrip.stripping import CurveBasis, EvaluationCore, VolMap
-from capstrip.vol_interpolation import hyman_slopes
+from capstrip.vol_interpolation import basis_matrix, hermite_basis, hyman_slopes
 
 
 def _counts(schedule, months):
@@ -200,21 +200,107 @@ def test_bootstrap_builds_one_basis_per_ladder(
     monkeypatch, schedule, quotes, clean_quotes, family, ladder
 ):
     """The local families read every node off one basis of the whole ladder;
-    cubic, not local, builds one per node, and hyman builds its own."""
+    cubic and hyman cut theirs from one Hermite basis of the whole ladder,
+    and cubic's linear prefixes of one and two nodes are built apart."""
     ladder_quotes = quotes if ladder == "raw" else clean_quotes
     builds = []
-    basis_matrix = cs.stripping.basis_matrix
+    for name, nodes_arg in (("basis_matrix", 1), ("hermite_basis", 0)):
 
-    def counted(*args, **kwargs):
-        builds.append(len(args[1]))
-        return basis_matrix(*args, **kwargs)
+        def counted(*args, name=name, nodes_arg=nodes_arg, build=getattr(cs.stripping, name)):
+            builds.append((name, len(args[nodes_arg])))
+            return build(*args)
 
-    monkeypatch.setattr(cs.stripping, "basis_matrix", counted)
+        monkeypatch.setattr(cs.stripping, name, counted)
     cs.stripping._bootstrap(schedule, ladder_quotes, cs.StripConfig(family=family))
     monkeypatch.undo()
     nodes = len(ladder_quotes)
-    expected = {"cubic": list(range(1, nodes + 1)), "hyman": []}.get(family, [nodes])
+    expected = {
+        "cubic": [("hermite_basis", nodes), ("basis_matrix", 1), ("basis_matrix", 2)],
+        "hyman": [("hermite_basis", nodes)],
+    }.get(family, [("basis_matrix", nodes)])
     assert builds == expected
+
+
+def _ladder_nodes(schedule, ladder_quotes):
+    """(caplet counts, at-maturity node times, the ladder's fixings)."""
+    counts = _counts(schedule, ladder_quotes.maturities_months)
+    taus = cs.place_nodes(ladder_quotes.maturities_months, 1, "maturity")
+    return counts, taus, schedule.fixing_times[: counts[-1]]
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+def test_cubic_prefix_bases_are_cut_from_the_ladder_hermite_basis(
+    schedule, quotes, clean_quotes, ladder
+):
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    counts, taus, times = _ladder_nodes(schedule, ladder_quotes)
+    hermite = hermite_basis(taus, times)
+    for q, rows in enumerate(counts):
+        prefix = cs.stripping._cubic_prefix(hermite, taus, times[:rows], q)
+        expected = basis_matrix("cubic", taus[: q + 1], times[:rows])
+        assert prefix.tobytes() == expected.tobytes(), q
+    # midpoint nodes reach past cap q's last fixing, where the cut basis is not the prefix's
+    for family in ("cubic", "hyman"):
+        with pytest.raises(cs.InputError, match="at-maturity"):
+            cs.stripping._bootstrap(schedule, ladder_quotes, cs.StripConfig(family, "mid"))
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+def test_hyman_line_reads_the_prefix_curve_basis(schedule, quotes, clean_quotes, ladder):
+    """line(x) is the (fixed, column) of hyman's basis of nodes 0..q, to the
+    bit, on the fixings node q moves and on all of cap q's. The known nodes
+    are the bootstrap's (the raw ladder's clamped ones at zero, with zero
+    slope rows), and the x switch node q-1's slope row between its Bessel
+    form and both clamp bounds."""
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    counts, taus, times = _ladder_nodes(schedule, ladder_quotes)
+    hermite = hermite_basis(taus, times)
+    result = cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="hyman"))
+    values = result.node_values
+    scale = ladder_quotes.flat_vols
+    for q, rows in enumerate(counts):
+        known = values[:q]
+        line, start = cs.stripping._hyman_line(hermite, taus, times[:rows], known)
+        if q >= 2:
+            assert times[start - 1] <= taus[q - 2] < times[start]
+        else:
+            assert start == 0
+        basis = CurveBasis("hyman", taus[: q + 1], times[:rows], 1.0, 1.0 / 12.0)
+        for x in [values[q], *(scale[q] * np.array([0.0, -10.0, 0.01, 0.5, 3.0, 100.0]))]:
+            matrix = basis.matrix(np.append(known, x))
+            fixed, column = matrix[:, :q] @ known, matrix[:, q]
+            for got, part in ((line(x), slice(start, None)), (line(x, slice(None)), slice(None))):
+                assert got[0].tobytes() == fixed[part].tobytes(), (q, x)
+                assert got[1].tobytes() == column[part].tobytes(), (q, x)
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+def test_global_start_bootstraps_the_nodes_alone(
+    monkeypatch, schedule, quotes, clean_quotes, ladder
+):
+    """strip_global's start asks the bootstrap for its nodes only: they are
+    the full result's, to the bit, and no curve or result is built for them."""
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
+    configs = [cs.StripConfig(family=family) for family in cs.FAMILIES] + [
+        cs.StripConfig(family=family, placement="mid") for family in ("flat", "linear")
+    ]
+    for config in configs:
+        result = cs.stripping._bootstrap(schedule, ladder_quotes, config, market)
+        nodes = cs.stripping._bootstrap(schedule, ladder_quotes, config, market, nodes_only=True)
+        assert nodes.tobytes() == result.node_values.tobytes(), config
+
+    built = []
+    for name in ("VolCurve", "_finish"):
+
+        def counted(*args, name=name, build=getattr(cs.stripping, name), **kwargs):
+            built.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cs.stripping, name, counted)
+    cs.strip_global(schedule, ladder_quotes, cs.StripConfig(family="cubic", placement="mid"))
+    monkeypatch.undo()
+    assert built == ["_finish"]
 
 
 @pytest.mark.parametrize("family", ["linear", "cubic", "hyman"])
