@@ -33,7 +33,7 @@ from .stripping import (
     strip_time_value,
 )
 from .term_structures import InputError, ZeroCurve, build_schedule
-from .vol_interpolation import FAMILIES, VolCurve
+from .vol_interpolation import FAMILIES, VolCurve, check_family
 
 # click's usage errors normally exit 2; that code is reserved for the strict
 # arbitrage signal, so downgrade them to plain input errors
@@ -75,8 +75,7 @@ class RunConfig:
             raise InputError("tenor must be at least 1 month")
         if self.method not in _METHODS:
             raise InputError(f"method must be one of {_METHODS}; got {self.method!r}")
-        if self.family not in FAMILIES:
-            raise InputError(f"unknown vol family {self.family!r}")
+        check_family(self.family)
         if self.nodes not in _NODE_CHOICES:
             raise InputError("nodes must be 'maturity' or 'mid'")
         if self.positivity != "none" and self.method != "global":

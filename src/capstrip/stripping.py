@@ -24,6 +24,7 @@ from .vol_interpolation import (
     basis_matrix,
     build_monotone_c2,
     check_beta,
+    check_family,
     hermite_basis,
     hyman_slopes,
     natural_slope_map,
@@ -87,6 +88,7 @@ class StripConfig:
     max_iter: int = 200
 
     def __post_init__(self):
+        check_family(self.family)
         check_beta(self.beta)
         if self.positivity not in ("none", "exp", "nonneg", "floor"):
             raise InputError(f"unknown positivity mode {self.positivity!r}")

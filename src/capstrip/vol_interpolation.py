@@ -1,16 +1,19 @@
 """Caplet volatility curve families and shape-preserving interpolants.
 
-All evaluators share the same conventions: node times tau strictly
-increasing (years), flat extrapolation on both sides, vectorized in t.
-The kernel-transition family places a ramp of width beta*delta centred
-mid-cell, so that for beta <= 1 the curve agrees with the piecewise
-constant one at every caplet fixing time (multiples of delta).
+Each family's curve has one definition, its cells (_cells): the weights
+at each time t on the two nodes of its cell, and for the Hermite families
+on their slopes too. basis_matrix and hermite_basis scatter them into the
+solvers' dense matrices; VolCurve gathers them, with no times x nodes
+matrix. Node times tau are strictly increasing (years), the curves are
+flat outside the nodes and vectorized in t. The kernel-transition
+family places a ramp of width beta*delta centred mid-cell, so that for
+beta <= 1 the curve agrees with the piecewise constant one at every
+caplet fixing time (multiples of delta).
 """
 
 import enum
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import lapack
 
 from .term_structures import InputError
@@ -35,6 +38,25 @@ class TransitionKernel(enum.Enum):
         return s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
+FAMILIES = (
+    "flat",
+    "flat-linear",
+    "flat-smooth",
+    "cosine",
+    "quintic",
+    "linear",
+    "cubic",
+    "hyman",
+)
+
+_KERNEL_FAMILIES = {
+    "flat-linear": TransitionKernel.RECT,
+    "flat-smooth": TransitionKernel.SMOOTHSTEP,
+    "cosine": TransitionKernel.COSINE,
+    "quintic": TransitionKernel.QUINTIC,
+}
+
+
 def _check_nodes(taus, vols):
     taus = np.asarray(taus, dtype=float)
     vols = np.asarray(vols, dtype=float)
@@ -45,66 +67,113 @@ def _check_nodes(taus, vols):
     return taus, vols
 
 
+def check_family(family):
+    """The vol family is one of FAMILIES."""
+    if family not in FAMILIES:
+        raise InputError(f"unknown vol family {family!r}")
+
+
 def check_beta(beta):
     """The kernel ramp width, as a fraction of the tenor, lies in [0, 1]."""
     if not 0.0 <= beta <= 1.0:
         raise InputError("beta must lie in [0, 1]")
 
 
-def eval_piecewise_constant(taus, vols, t):
-    """Step-forward curve: sigma(t) = v_k on (tau_{k-1}, tau_k]."""
-    taus, vols = _check_nodes(taus, vols)
-    t = np.asarray(t, dtype=float)
-    idx = np.clip(np.searchsorted(taus, t, side="left"), 0, len(taus) - 1)
-    return vols[idx]
+def _cells(family, taus, t, beta=1.0, delta=1.0 / 12.0):
+    """A family's curve at 1-d times t as (k0, k1, (w0, w1), slopes).
 
-
-def eval_kernel(taus, vols, kernel, beta, delta, t):
-    """Kernel-transition curve: flat segments joined by mid-cell ramps.
-
-    Ramp k sits at c_k = tau_{k-1} + delta/2 with half-width beta*delta/2,
-    clipped to the cell. beta = 0 degenerates to a step at c_k.
+    The curve is w0 v[k0] + w1 v[k1] in the node values v, plus
+    b0 d[k0] + b1 d[k1] in the node slopes d where slopes = (b0, b1) is not
+    None (cubic from three nodes, hyman). k1 = k0 + 1, but on one node,
+    where k0 = k1 = 0 and the curve is the constant (w0, w1) = (1, 0).
     """
-    taus, vols = _check_nodes(taus, vols)
-    check_beta(beta)
-    t = np.asarray(t, dtype=float)
-    out = np.full(t.shape, vols[0])
-    half = 0.5 * beta * delta
-    for k in range(1, len(taus)):
-        c = taus[k - 1] + 0.5 * delta
-        a = max(taus[k - 1], c - half)
-        b = min(taus[k], c + half)
-        if b > a:
-            w = kernel.weight((t - a) / (b - a))
-        else:
-            w = (t > a).astype(float)
-        out = out + (vols[k] - vols[k - 1]) * w
-    return out
+    kernel = _KERNEL_FAMILIES.get(family)
+    if kernel is not None:
+        check_beta(beta)
+    if len(taus) == 1:
+        node = np.zeros(len(t), dtype=int)
+        return node, node, (np.ones(len(t)), np.zeros(len(t))), None
+    if family == "flat":
+        return _ramp_cells(taus, t, None, 0.0, 0.0)
+    if kernel is not None:
+        return _ramp_cells(taus, t, kernel, 0.5 * delta, 0.5 * beta * delta)
+    if family == "linear" or (family == "cubic" and len(taus) < 3):
+        return _hat_cells(taus, t)
+    return _hermite_cells(taus, t)
 
 
-def eval_linear(taus, vols, t):
-    taus, vols = _check_nodes(taus, vols)
-    return np.interp(np.asarray(t, dtype=float), taus, vols)
+def _ramp_cells(taus, t, kernel, offset, half):
+    """Cells of a curve that is flat but for one ramp per cell.
+
+    Ramp k goes from v_k to v_k+1 by kernel over [a_k, b_k], a_k =
+    max(tau_k, c_k - half) and b_k = min(tau_k+1, c_k + half) around
+    c_k = tau_k + offset, and is a step at a_k where b_k <= a_k (flat:
+    steps at the nodes). A cell shorter than offset - half puts its step
+    past the next node. No ramp starts before the one before it ends, so
+    t's ramp is the first not ended by t, found among the ramp ends (b_k,
+    or a_k for a step), not among the node times.
+    """
+    lefts = taus[:-1]
+    centres = lefts + offset
+    a = np.maximum(lefts, centres - half)
+    b = np.minimum(taus[1:], centres + half)
+    wide = b > a
+    k = np.minimum(np.searchsorted(np.where(wide, b, a), t, side="left"), len(lefts) - 1)
+    start = a[k]
+    if kernel is None:
+        psi = (t > start).astype(float)
+    else:
+        width = np.where(wide, b - a, 1.0)[k]
+        psi = np.where(wide[k], kernel.weight((t - start) / width), t > start)
+    return k, k + 1, (1.0 - psi, psi), None
 
 
-def eval_cubic_c2(taus, vols, t):
-    """Natural C2 cubic through the nodes, flat outside the node range."""
-    taus, vols = _check_nodes(taus, vols)
-    t = np.asarray(t, dtype=float)
-    if len(taus) < 3:
-        return np.interp(t, taus, vols)
-    spline = CubicSpline(taus, vols, bc_type="natural")
-    return spline(np.clip(t, taus[0], taus[-1]))
+def _hat_cells(taus, t):
+    """Cells of np.interp, in its own arithmetic, so that the scattered rows
+    are its weights to the bit: w1 = (1/h) (t - tau_k) on [tau_k, tau_k+1),
+    where its w0 = (-1/h) (t - tau_k) + 1 is exactly 1 - w1, and unit weights
+    before the first node and at or beyond the last, where (1/h) h need not
+    be exactly 1."""
+    k = np.clip(np.searchsorted(taus, t, side="right") - 1, 0, len(taus) - 2)
+    left = taus[k]
+    w1 = (1.0 / (taus[k + 1] - left)) * (t - left)
+    w1[t < taus[0]] = 0.0
+    w1[t >= taus[-1]] = 1.0
+    return k, k + 1, (1.0 - w1, w1), None
 
 
-def _clamped_hermite(x, f, d):
-    hermite = CubicHermiteSpline(x, f, d)
-    lo, hi = x[0], x[-1]
+def _hermite_cells(x, t):
+    """Cells of the cubic Hermite interpolant, flat beyond the nodes."""
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    left = x[k]
+    h = x[k + 1] - left
+    u = (np.clip(t, x[0], x[-1]) - left) / h
+    rest = (1.0 - u) ** 2
+    hu = h * u
+    values = ((1.0 + 2.0 * u) * rest, u * u * (3.0 - 2.0 * u))
+    slopes = (hu * rest, hu * u * (u - 1.0))
+    return k, k + 1, values, slopes
 
-    def evaluate(t):
-        return hermite(np.clip(np.asarray(t, dtype=float), lo, hi))
 
-    return evaluate
+def _gather(cells, values, slopes=None):
+    """The curve at the cells' times, for node values (and node slopes)."""
+    k0, k1, (w0, w1), slope_weights = cells
+    curve = w0 * values[k0]
+    curve += w1 * values[k1]
+    if slope_weights is not None:
+        curve += slope_weights[0] * slopes[k0]
+        curve += slope_weights[1] * slopes[k1]
+    return curve
+
+
+def _scatter(n, k0, k1, w0, w1):
+    """The dense matrix with w0 at (row, k0) and w1 at (row, k1), a row per time."""
+    matrix = np.zeros((len(k0), n))
+    rows = np.arange(len(k0))
+    matrix[rows, k1] = w1
+    # last: on a single node k0 = k1, and its weight is w0
+    matrix[rows, k0] = w0
+    return matrix
 
 
 def build_monotone_c2(x, f):
@@ -120,10 +189,9 @@ def build_monotone_c2(x, f):
     n = len(x)
     if n == 1:
         return lambda t: np.full(np.shape(np.asarray(t, dtype=float)), f[0])
-    if n == 2:
-        return _clamped_hermite(x, f, np.full(2, (f[1] - f[0]) / (x[1] - x[0])))
-    d = CubicSpline(x, f, bc_type="natural")(x, 1)
     s = np.diff(f) / np.diff(x)
+    # two nodes make a straight line, whose secant slopes the filter keeps
+    d = np.full(2, s[0]) if n == 2 else natural_slope_map(x) @ f
 
     def limited(slope, *secants):
         secants = [sec for sec in secants if sec is not None]
@@ -138,7 +206,12 @@ def build_monotone_c2(x, f):
     for k in range(1, n - 1):
         d[k] = limited(d[k], s[k - 1], s[k])
     d[n - 1] = limited(d[n - 1], s[n - 2])
-    return _clamped_hermite(x, f, d)
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        return _gather(_hermite_cells(x, t.ravel()), f, d).reshape(t.shape)
+
+    return evaluate
 
 
 def hermite_basis(x, t):
@@ -146,24 +219,12 @@ def hermite_basis(x, t):
 
     The cubic Hermite interpolant through node values f with node slopes d
     is linear in both; its flat extrapolation clamps t to the node range.
+    A and B scatter hyman's cells, the plain Hermite ones.
     """
     x = np.asarray(x, dtype=float)
-    t = np.clip(np.asarray(t, dtype=float), x[0], x[-1])
-    n = len(x)
-    a = np.zeros((len(t), n))
-    b = np.zeros((len(t), n))
-    if n == 1:
-        a[:, 0] = 1.0
-        return a, b
-    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
-    h = x[k + 1] - x[k]
-    u = (t - x[k]) / h
-    rows = np.arange(len(t))
-    a[rows, k] = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-    a[rows, k + 1] = u * u * (3.0 - 2.0 * u)
-    b[rows, k] = h * u * (1.0 - u) ** 2
-    b[rows, k + 1] = h * u * u * (u - 1.0)
-    return a, b
+    k0, k1, values, slopes = _cells("hyman", x, np.asarray(t, dtype=float))
+    # one node has no slope weights
+    return _scatter(len(x), k0, k1, *values), _scatter(len(x), k0, k1, *(slopes or (0.0, 0.0)))
 
 
 def natural_slope_map(x):
@@ -188,36 +249,6 @@ def natural_slope_map(x):
     rhs[:-1] += 3.0 * upper[:, None] * secants
     # diagonally dominant, so the solve cannot fail
     return lapack.dgtsv(lower, main, upper, rhs)[3]
-
-
-def _hat_weights(taus, t):
-    """W with W @ v == np.interp(t, taus, v) to the bit, in np.interp's own
-    arithmetic: slope * (t - tau_k) + value on [tau_k, tau_k+1), unit rows
-    before the first node and at or beyond the last."""
-    weights = np.zeros((len(t), len(taus)))
-    inside = np.flatnonzero((t >= taus[0]) & (t < taus[-1]))
-    k = np.searchsorted(taus, t[inside], side="right") - 1
-    h = taus[k + 1] - taus[k]
-    offset = t[inside] - taus[k]
-    weights[inside, k] = (-1.0 / h) * offset + 1.0
-    weights[inside, k + 1] = (1.0 / h) * offset
-    weights[t < taus[0], 0] = 1.0
-    weights[t >= taus[-1], -1] = 1.0
-    return weights
-
-
-def _kernel_weights(taus, t, kernel, beta, delta):
-    """W for eval_kernel: curve = v_0 + sum_k (v_k - v_k-1) * ramp_k(t), so
-    column k is ramp_k - ramp_k+1, with ramp_0 = 1 and no ramp past the last node."""
-    half = 0.5 * beta * delta
-    centres = taus[:-1] + 0.5 * delta
-    a = np.maximum(taus[:-1], centres - half)
-    b = np.minimum(taus[1:], centres + half)
-    wide = b > a
-    t = t[:, None]
-    ramps = np.where(wide, kernel.weight((t - a) / np.where(wide, b - a, 1.0)), t > a)
-    ramps = np.hstack((np.ones((len(t), 1)), ramps, np.zeros((len(t), 1))))
-    return ramps[:, :-1] - ramps[:, 1:]
 
 
 def hyman_slopes(x, f):
@@ -261,86 +292,46 @@ def hyman_slopes(x, f):
     return d, slope_map
 
 
-def build_hyman_nonneg_c1(x, f):
-    """C1 cubic that stays non-negative wherever the node values are.
-
-    Slopes from hyman_slopes; flat extrapolation outside the node range.
-    """
-    x, f = _check_nodes(x, f)
-    if len(x) == 1:
-        return lambda t: np.full(np.shape(np.asarray(t, dtype=float)), f[0])
-    d, _ = hyman_slopes(x, f)
-    return _clamped_hermite(x, f, d)
-
-
-FAMILIES = (
-    "flat",
-    "flat-linear",
-    "flat-smooth",
-    "cosine",
-    "quintic",
-    "linear",
-    "cubic",
-    "hyman",
-)
-
-_KERNEL_FAMILIES = {
-    "flat-linear": TransitionKernel.RECT,
-    "flat-smooth": TransitionKernel.SMOOTHSTEP,
-    "cosine": TransitionKernel.COSINE,
-    "quintic": TransitionKernel.QUINTIC,
-}
-
-
 class VolCurve:
-    """A vol curve family bound to node times and values; callable in t."""
+    """A vol curve family bound to node times and values; callable in t.
+
+    A call gathers the family's cells on the node values, and on the node
+    slopes of cubic (natural_slope_map) and hyman (hyman_slopes).
+    """
 
     def __init__(self, family, taus, vols, beta=1.0, delta=1.0 / 12.0):
-        if family not in FAMILIES:
-            raise InputError(f"unknown vol family {family!r}")
+        check_family(family)
         self.family = family
         self.taus, self.vols = _check_nodes(taus, vols)
         self.beta = beta
         self.delta = delta
-        if family == "hyman":
-            self._eval = build_hyman_nonneg_c1(self.taus, self.vols)
-        else:
-            self._eval = None
 
     def __call__(self, t):
-        if self.family == "flat":
-            return eval_piecewise_constant(self.taus, self.vols, t)
-        if self.family in _KERNEL_FAMILIES:
-            return eval_kernel(
-                self.taus, self.vols, _KERNEL_FAMILIES[self.family], self.beta, self.delta, t
-            )
-        if self.family == "linear":
-            return eval_linear(self.taus, self.vols, t)
-        if self.family == "cubic":
-            return eval_cubic_c2(self.taus, self.vols, t)
-        return self._eval(t)
+        t = np.asarray(t, dtype=float)
+        cells = _cells(self.family, self.taus, t.ravel(), self.beta, self.delta)
+        if cells[3] is None:  # no slope weights
+            slopes = None
+        elif self.family == "hyman":
+            slopes = hyman_slopes(self.taus, self.vols)[0]
+        else:
+            slopes = natural_slope_map(self.taus) @ self.vols
+        return _gather(cells, self.vols, slopes).reshape(t.shape)
 
 
 def basis_matrix(family, taus, t, beta=1.0, delta=1.0 / 12.0):
     """Matrix W with VolCurve(family, taus, v, beta, delta)(t) == W @ v.
 
-    For every family linear in its node values (all but hyman), built in a
-    few array operations: one-hot rows for flat, differenced ramp weights
-    for the kernel families, np.interp's hat weights for linear (bit for
-    bit), and A + B @ S for cubic, the Hermite basis with the natural
-    spline's slope map.
+    For every family linear in its node values (all but hyman): its cells
+    scattered, for cubic from three nodes A + B @ S with the natural
+    spline's slope map S. linear's rows are np.interp's weights to the bit.
     """
+    check_family(family)
+    if family == "hyman":
+        raise InputError(f"vol family {family!r} is not linear in its node values")
     taus = np.asarray(taus, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if family == "flat":
-        idx = np.clip(np.searchsorted(taus, t, side="left"), 0, len(taus) - 1)
-        return (idx[:, None] == np.arange(len(taus))).astype(float)
-    if family in _KERNEL_FAMILIES:
-        check_beta(beta)
-        return _kernel_weights(taus, t, _KERNEL_FAMILIES[family], beta, delta)
-    if family == "linear" or (family == "cubic" and len(taus) < 3):
-        return _hat_weights(taus, t)
-    if family == "cubic":
-        values_part, slopes_part = hermite_basis(taus, t)
-        return values_part + slopes_part @ natural_slope_map(taus)
-    raise InputError(f"vol family {family!r} is not linear in its node values")
+    n = len(taus)
+    k0, k1, values, slopes = _cells(family, taus, np.asarray(t, dtype=float), beta, delta)
+    matrix = _scatter(n, k0, k1, *values)
+    if slopes is not None:
+        matrix += _scatter(n, k0, k1, *slopes) @ natural_slope_map(taus)
+    return matrix

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from curve_oracles import family_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -542,9 +543,9 @@ def test_config_validation():
             cs.StripConfig(family="cosine", beta=beta)
 
 
-def test_unknown_family_rejected(schedule, clean_quotes):
-    with pytest.raises(cs.InputError):
-        cs.bootstrap_sequential(schedule, clean_quotes, cs.StripConfig(family="spline"))
+def test_unknown_family_rejected():
+    with pytest.raises(cs.InputError, match="unknown vol family 'spline'"):
+        cs.StripConfig(family="spline")
 
 
 def test_bootstrap_jacobian_is_triangular(schedule, clean_quotes):
@@ -618,9 +619,11 @@ def test_curve_basis_reproduces_the_family(schedule, quotes, family):
         node_sets += list(HYMAN_NODE_SETS)
     for values in node_sets:
         values = values * 1e-4
-        expected = cs.VolCurve(family, taus, values, beta=0.5, delta=1.0 / 12.0)(fixings)
-        worst = np.max(np.abs(basis(values) - expected))
-        assert worst <= 1e-14 * np.max(np.abs(expected)), family
+        expected = family_oracle(family, taus, values, fixings, 0.5, 1.0 / 12.0)
+        curve = cs.VolCurve(family, taus, values, beta=0.5, delta=1.0 / 12.0)(fixings)
+        for got in (basis(values), curve):
+            worst = np.max(np.abs(got - expected))
+            assert worst <= 1e-14 * np.max(np.abs(expected)), family
 
 
 def test_hyman_slope_map_covers_every_clamp_kind(quotes):

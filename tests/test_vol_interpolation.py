@@ -1,11 +1,14 @@
 """Vol curve families: steps, kernel ramps, splines, and shape filters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from curve_oracles import family_oracle
 from scipy.interpolate import CubicHermiteSpline
 
 import capstrip as cs
-from capstrip.vol_interpolation import basis_matrix, build_hyman_nonneg_c1
+from capstrip.vol_interpolation import basis_matrix
 
 DELTA = 1.0 / 12.0
 
@@ -162,7 +165,7 @@ def test_monotone_spline_on_fixture_time_values(schedule, clean_quotes):
 
 
 def test_hyman_zero_node_pins_derivative():
-    curve = build_hyman_nonneg_c1(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0]))
+    curve = cs.VolCurve("hyman", np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0]))
     h = 1e-7
     assert abs(float(curve(1.0 + h)) - float(curve(1.0 - h))) / (2 * h) <= 1e-6
     grid = np.linspace(0.0, 2.0, 10001)
@@ -180,7 +183,7 @@ def test_hyman_inactive_clamps_reproduce_bessel_hermite():
         h0, h1 = x[k] - x[k - 1], x[k + 1] - x[k]
         bessel[k] = (h1 * s[k - 1] + h0 * s[k]) / (h0 + h1)
     reference = CubicHermiteSpline(x, f, bessel)
-    curve = build_hyman_nonneg_c1(x, f)
+    curve = cs.VolCurve("hyman", x, f)
     grid = np.linspace(0.0, 3.0, 801)
     np.testing.assert_allclose(curve(grid), reference(grid), rtol=0, atol=1e-13)
 
@@ -195,7 +198,7 @@ def test_hyman_never_negative_on_random_sets():
             x = np.sort(rng.uniform(0.0, 10.0, size=k))
         f = rng.uniform(0.0, 0.03, size=k)
         f[rng.random(size=k) < 0.2] = 0.0
-        curve = build_hyman_nonneg_c1(x, f)
+        curve = cs.VolCurve("hyman", x, f)
         grid = np.linspace(x[0], x[-1], 801)
         worst = min(worst, float(np.min(curve(grid))))
     assert worst >= -1e-12
@@ -239,12 +242,53 @@ def _basis_case(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 20])
 def test_basis_matrix_matches_the_family(family, beta, n):
     taus, t, rng = _basis_case(n, seed=n)
-    matrix = basis_matrix(family, taus, t, beta, DELTA)
+    _assert_matches_oracle(family, taus, t, beta, DELTA, rng)
+
+
+def _assert_matches_oracle(family, taus, t, beta, delta, rng):
+    """basis_matrix and VolCurve both give the oracle's curve, on random nodes."""
+    matrix = basis_matrix(family, taus, t, beta, delta)
     for _ in range(5):
-        values = rng.uniform(-20.0, 150.0, n) * 1e-4
-        expected = cs.VolCurve(family, taus, values, beta=beta, delta=DELTA)(t)
+        values = rng.uniform(-20.0, 150.0, len(taus)) * 1e-4
+        expected = family_oracle(family, taus, values, t, beta, delta)
+        curve = cs.VolCurve(family, taus, values, beta=beta, delta=delta)(t)
         scale = np.max(np.abs(values))
-        np.testing.assert_allclose(matrix @ values, expected, rtol=0, atol=1e-13 * scale)
+        for got in (matrix @ values, curve):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("beta, gap_months", [(0.0, 1.0), (0.0, 0.5), (0.5, 0.5)])
+def test_ramps_of_short_cells_lie_beyond_them(family, beta, gap_months):
+    """A cell shorter than delta (1 - beta) / 2 leaves its ramp a step past
+    the next node: at a quarterly tenor, runs of short cells put each step
+    in a later cell, where the curve still reads it."""
+    delta = 3.0 / 12.0
+    months = np.concatenate(
+        ([1.0, 4.0], 4.0 + gap_months * np.arange(1, 7), [11.0, 14.0, 14.0 + gap_months, 19.0])
+    )
+    taus = months / 12.0
+    assert np.min(np.diff(taus)) < 0.5 * delta * (1.0 - beta)
+    t = np.concatenate((taus, np.linspace(0.0, taus[-1] + 0.5, 4001)))
+    rng = np.random.default_rng(int(8 * gap_months + 10 * beta))
+    _assert_matches_oracle(family, taus, t, beta, delta, rng)
+
+
+@pytest.mark.parametrize("family", cs.FAMILIES)
+def test_curve_evaluation_builds_no_dense_basis(family):
+    """VolCurve gathers a few vectors of len(t): on 50 nodes its peak stays
+    far below one times x nodes matrix, which would be 50 such vectors."""
+    rng = np.random.default_rng(3)
+    taus = np.sort(rng.choice(np.arange(1, 361), size=50, replace=False)) / 12.0
+    curve = cs.VolCurve(family, taus, rng.uniform(10.0, 150.0, 50) * 1e-4, beta=0.5)
+    t = np.linspace(0.0, taus[-1] + 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        curve(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * t.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20])
@@ -257,7 +301,7 @@ def test_linear_basis_is_np_interp_on_unit_vectors(n):
 
 
 def test_basis_matrix_needs_a_linear_family():
-    with pytest.raises(cs.InputError):
+    with pytest.raises(cs.InputError, match="not linear"):
         basis_matrix("hyman", TAUS, TAUS)
-    with pytest.raises(cs.InputError):
+    with pytest.raises(cs.InputError, match="unknown vol family 'spliney'"):
         basis_matrix("spliney", TAUS, TAUS)
