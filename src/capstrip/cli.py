@@ -336,24 +336,27 @@ def _parse_far_quote(text):
         raise InputError(f"far quote vol must be a number; got {tail!r}") from None
 
 
-_CONFIG_KEYS = (
-    "projection_curve",
-    "discount_curve",
-    "quotes",
-    "strike_bp",
-    "tenor_months",
-    "method",
-    "family",
-    "beta",
-    "nodes",
-    "positivity",
-    "outliers",
-    "mad_threshold",
-    "far_quote",
-    "curve_interp",
-    "strict",
-    "out",
-)
+_TEXT = (str, "a string")
+_NUMBER = ((int, float), "a number")
+# the JSON types each config key takes, and how an error names them
+_CONFIG_TYPES = {
+    "projection_curve": _TEXT,
+    "discount_curve": _TEXT,
+    "quotes": _TEXT,
+    "strike_bp": _NUMBER,
+    "tenor_months": (int, "an integer"),
+    "method": _TEXT,
+    "family": _TEXT,
+    "beta": _NUMBER,
+    "nodes": _TEXT,
+    "positivity": _TEXT,
+    "outliers": _TEXT,
+    "mad_threshold": _NUMBER,
+    "far_quote": ((str, int, type(None)), "a string, an integer or null"),
+    "curve_interp": _TEXT,
+    "strict": (bool, "true or false"),
+    "out": _TEXT,
+}
 
 
 def _merge_json_config(ctx, values, config_path):
@@ -369,8 +372,14 @@ def _merge_json_config(ctx, values, config_path):
     merged = dict(values)
     source = click.core.ParameterSource
     for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise InputError(f"config {config_path}: unknown key {key!r}")
+        types, name = _CONFIG_TYPES[key]
+        # Python counts true and false as integers; JSON does not
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            raise InputError(
+                f"config {config_path}: {key!r} must be {name}; got {json.dumps(value)}"
+            )
         if ctx.get_parameter_source(key) in (source.DEFAULT, None):
             merged[key] = value
     return merged

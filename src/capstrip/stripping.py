@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+# brentq is not called here; perfbench/spans.py wraps stripping.brentq by name
+from scipy.optimize import brentq, least_squares  # noqa: F401
 
 from . import bachelier, diagnostics
 from .term_structures import InputError
@@ -31,10 +32,10 @@ from .vol_interpolation import (
 )
 
 BRACKET_START = 0.05  # 500 bp
-BRACKET_LIMIT = 100.0  # 1e6 bp
+BRACKET_LIMIT = BRACKET_START * 2**11  # 1.024e6 bp: a node that underprices here clamps
 LOG_VOL_CAP = 3.0  # exp-mode curves are capped here before exponentiating
 PRICE_TOL_BP = 1e-10  # a quote is repriced when its residual is within this
-NEWTON_MAX_ITER = 50  # bootstrap Newton steps before the Brent fallback
+NEWTON_MAX_ITER = 50  # bootstrap node steps; no shipped ladder's node takes 10
 NEWTON_TOL = 1e-6  # a relative Halley step this small leaves only round-off (its cube)
 # least_squares status -> the stop test that fired (4: ftol and xtol both)
 _STOP_TESTS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
@@ -288,26 +289,29 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
                  zero_first=False):
     """A bootstrap node on the curve fixed + x * column, by safeguarded Newton.
 
-    Returns (x, clamped), or None when the caller should run the bracketed
-    Brent solve instead: the slope is not positive, a step goes beyond
-    BRACKET_LIMIT, or NEWTON_MAX_ITER steps do not settle the node.
-    table prices the cap's caplets, and split = (held, moving) indexes
-    them (_split_rows): moving marks those whose vols x can move. The held
-    ones are priced once, at the first iterate, and only the moving ones
-    are repriced. Where the line itself depends on x (hyman's slope
-    clamps), line(x) re-reads (fixed, column) on the moving caplets at
-    each later iterate. Each step is Newton's on the
+    Returns (x, clamped). table prices the cap's caplets, and split =
+    (held, moving) indexes them (_split_rows): moving marks those whose
+    vols x can move. The held ones are priced once, at the first iterate,
+    and only the moving ones are repriced. Where the line itself depends
+    on x (hyman's slope clamps), line(x) re-reads (fixed, column) on the
+    moving caplets at each later iterate. Each step is Newton's on the
     exact slope sum(vega * column * dvol/dcurve), with Halley's correction
     from the exact curvature sum(vomma * column^2 * dvol/dcurve) (the zero
     floor is linear off its kink). Each residual's sign narrows the
-    bracket [lo, up], and a step that leaves it bisects. The node clamps
-    at 0 when zero vol already overprices the cap: seen at once when the
-    moving caplets' intrinsic does, else tested when an iterate reaches
-    zero, or first of all with zero_first (then the second iterate is start).
+    bracket [lo, up]. A step off the bracket's left end, and an iterate
+    whose slope is not positive, test zero vol next if it is untested,
+    else bisect; a step past up bisects. No iterate goes past
+    BRACKET_LIMIT: a step beyond it, or a bisection while up is unset,
+    stops there. The node clamps at 0 when zero vol already overprices
+    the cap: seen at once when the moving caplets' intrinsic does, else
+    when an iterate reaches zero, or first of all with zero_first (then
+    the second iterate is start). It clamps at BRACKET_LIMIT when that
+    still underprices.
     """
     held, moving = split
     offset = -target
     lo, up, zero_tested = 0.0, math.inf, False
+    start = min(start, BRACKET_LIMIT)
     x = 0.0 if zero_first else start
     first = True
     for _ in range(NEWTON_MAX_ITER):
@@ -334,6 +338,8 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
                 return 0.0, True
             up = x
         else:
+            if x == BRACKET_LIMIT:
+                return x, True
             lo = x
         if residual == 0.0:
             return x, False
@@ -342,23 +348,23 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
             continue
         weights = vol_map.slope(curve, vols) * column
         slope = vegas @ weights
-        if not slope > 0.0:
-            return None
-        newton = residual / slope
-        halley = 1.0 - 0.5 * newton * (vommas @ (weights * column)) / slope
-        step = newton / halley if halley > 0.0 else newton
-        candidate = x - step
-        if candidate > BRACKET_LIMIT:
-            return None
-        if abs(step) <= NEWTON_TOL * x:
-            return candidate, False
+        candidate = lo  # where the slope is not positive, move as a step off the left end
+        if slope > 0.0:
+            newton = residual / slope
+            halley = 1.0 - 0.5 * newton * (vommas @ (weights * column)) / slope
+            step = newton / halley if halley > 0.0 else newton
+            candidate = x - step
+            if abs(step) <= NEWTON_TOL * x:
+                return candidate, False
         if candidate <= lo:
             # zero vol is the one point left of the bracket still to test
             candidate = 0.5 * (lo + up) if zero_tested else 0.0
         elif candidate >= up:
             candidate = 0.5 * (lo + up)
-        x = candidate
-    return None
+        x = min(candidate, BRACKET_LIMIT)
+    # not reached by any shipped ladder: the last iterate, whose miss the
+    # cap's residual records
+    return x, False
 
 
 def _split_rows(moving):
@@ -373,20 +379,8 @@ def _split_rows(moving):
     return ~moving, moving
 
 
-def _bracketed_node(cap_price, target):
-    """A bootstrap node by bracket doubling and Brent: returns (x, clamped)."""
-    if cap_price(0.0) >= target:
-        return 0.0, True
-    hi = BRACKET_START
-    while cap_price(hi) < target and hi < BRACKET_LIMIT:
-        hi *= 2.0
-    if cap_price(hi) < target:
-        return hi, True
-    return brentq(lambda x: cap_price(x) - target, 0.0, hi, xtol=1e-16, rtol=8.9e-16), False
-
-
 def bootstrap_sequential(schedule, quotes, config=None):
-    """Solve node values one quote at a time (Newton, with Brent as the fallback).
+    """Solve node values one quote at a time, each by safeguarded Newton in a bracket.
 
     Node q is the one-dimensional root matching the model price of cap q,
     with earlier nodes held fixed and the curve restricted to the solved
@@ -399,7 +393,8 @@ def bootstrap_sequential(schedule, quotes, config=None):
     already overprices the cap (negative incremental time value) there is
     no root: the node clamps to zero, the miss is recorded in the
     residuals, and stripping continues (stop_reason 'clamped', else
-    'priced').
+    'priced'). A cap that BRACKET_LIMIT still underprices clamps its node
+    there in the same way.
     """
     config = config or StripConfig()
     if config.placement == "mid" and config.family != "flat":
@@ -446,24 +441,15 @@ def _bootstrap(schedule, quotes, config, market=None, table=None, nodes_only=Fal
             fixed, column = prefix[:, :q] @ known, prefix[:, q]
         else:
             line, start = _hyman_line(hermite, taus, times[:rows], known)
-            # zero vol is tested first, as the bracketed solve does; node q
-            # reaches back through the slopes of nodes q-1 and q only
+            # zero vol is tested first; node q reaches back through the
+            # slopes of nodes q-1 and q only
             fixed, column = line(0.0, slice(None))
         split = _split_rows(column != 0.0) if line is None else (slice(start), slice(start, None))
-        caplets = table[:rows]
         # start at the flat vol, the one vol that prices the whole cap
-        solved = _newton_node(
-            caplets, fixed, column, market[q], quotes.flat_vols[q], vol_map, split, line,
+        values[q], at_clamp = _newton_node(
+            table[:rows], fixed, column, market[q], quotes.flat_vols[q], vol_map, split, line,
             zero_first=family == "hyman",
         )
-        if solved is None:
-
-            def cap_price(x):
-                at_x = (fixed, column) if line is None else line(x, slice(None))
-                return np.cumsum(caplets.price(vol_map(at_x[0] + x * at_x[1])))[-1]
-
-            solved = _bracketed_node(cap_price, market[q])
-        values[q], at_clamp = solved
         if at_clamp:
             clamped.append(int(quotes.maturities_months[q]))
     if nodes_only:

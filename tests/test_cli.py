@@ -220,6 +220,26 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert "familly" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"strike_bp": "x"},
+        {"beta": None},
+        {"mad_threshold": [1]},
+        {"tenor_months": 1.5},
+        {"strict": "false"},
+    ],
+)
+def test_config_value_of_the_wrong_type_writes_nothing(tmp_path, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "out"
+    result = _invoke(["run", *_market_args(), "--config", str(cfg), "--out", str(out)])
+    _assert_rejected(result, out)
+    (key,) = entry
+    assert repr(key) in result.stderr
+
+
 def test_far_quote_extends_the_curve(tmp_path):
     result = _invoke([
         "run", *_market_args(), "--outliers", "remove",

@@ -167,6 +167,19 @@ def test_bootstrap_clamps_at_the_bracket_limit(schedule, clean_quotes, family):
     assert result.stop_reason == "clamped"
 
 
+def _assert_unclamped_caps_reprice(schedule, quotes, market, result):
+    """Each bootstrap node not clamped prices its cap on the curve through nodes 0..q."""
+    months = quotes.maturities_months
+    for q, month in enumerate(months):
+        if month in result.clamped_months:
+            continue
+        model = _cap_prices_from_nodes(
+            schedule, quotes.strike, result.config.family, result.node_times[: q + 1],
+            result.node_values[: q + 1], months[: q + 1],
+        )[-1]
+        assert abs(model - market[q]) * 1e4 <= 1e-10
+
+
 @pytest.mark.parametrize("ladder", ["raw", "clean"])
 @pytest.mark.parametrize("family", cs.FAMILIES)
 def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, family, ladder):
@@ -181,16 +194,7 @@ def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, 
     # one kernel pass per Newton step (the first prices the whole prefix
     # once and splits it); hyman also tests zero vol first
     assert len(passes) < (60 if family == "hyman" else 40)
-    # each node not clamped prices its cap on the curve through nodes 0..q
-    months = ladder_quotes.maturities_months
-    for q, month in enumerate(months):
-        if month in result.clamped_months:
-            continue
-        model = _cap_prices_from_nodes(
-            schedule, ladder_quotes.strike, family, result.node_times[: q + 1],
-            result.node_values[: q + 1], months[: q + 1],
-        )[-1]
-        assert abs(model - market[q]) * 1e4 <= 1e-10
+    _assert_unclamped_caps_reprice(schedule, ladder_quotes, market, result)
     if ladder == "raw" and family == "flat":
         assert result.clamped_months == [4, 5, 6, 24]
 
@@ -317,21 +321,68 @@ def test_jacobian_makes_no_kernel_pass(monkeypatch, schedule, clean_quotes, fami
     assert passes == ["price_vega"]
 
 
+def _bracketed_node(cap_price, target):
+    """A bootstrap node by bracket doubling and Brent: returns (x, clamped)."""
+    if cap_price(0.0) >= target:
+        return 0.0, True
+    hi = cs.stripping.BRACKET_START
+    while cap_price(hi) < target and hi < cs.stripping.BRACKET_LIMIT:
+        hi *= 2.0
+    if cap_price(hi) < target:
+        return hi, True
+    return brentq(lambda x: cap_price(x) - target, 0.0, hi, xtol=1e-16, rtol=8.9e-16), False
+
+
 @pytest.mark.parametrize("ladder, clamped", [("clean", [5]), ("raw", [4, 5, 6, 24, 60, 84])])
 def test_hyman_newton_agrees_with_the_bracketed_solve(
-    monkeypatch, schedule, quotes, clean_quotes, ladder, clamped
+    schedule, quotes, clean_quotes, ladder, clamped
 ):
     ladder_quotes = quotes if ladder == "raw" else clean_quotes
-    config = cs.StripConfig(family="hyman")
-    newton = cs.stripping._bootstrap(schedule, ladder_quotes, config)
-    # every node through bracket doubling and Brent
-    monkeypatch.setattr(cs.stripping, "_newton_node", lambda *args, **kwargs: None)
-    bracketed = cs.stripping._bootstrap(schedule, ladder_quotes, config)
-    monkeypatch.undo()
-    gap = np.abs(newton.node_values - bracketed.node_values)
-    assert np.all(gap <= 1e-12 * np.abs(bracketed.node_values))
-    assert newton.clamped_months == bracketed.clamped_months == clamped
-    assert newton.stop_reason == bracketed.stop_reason == "clamped"
+    result = cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="hyman"))
+    market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
+    counts = _counts(schedule, ladder_quotes.maturities_months)
+    taus, nodes = result.node_times, result.node_values
+    # every node by bracket doubling and Brent on the hyman curve through
+    # nodes 0..q, with the earlier nodes the result's
+    bracketed, bracket_clamped = [], []
+    for q, rows in enumerate(counts):
+        basis = CurveBasis("hyman", taus[: q + 1], schedule.fixing_times[:rows], 1.0, 1 / 12)
+        table = cs.stripping._caplet_table(schedule, ladder_quotes.strike, rows)
+
+        def cap_price(x, basis=basis, table=table, q=q):
+            return table.price(np.maximum(basis(np.append(nodes[:q], x)), 0.0)).sum()
+
+        node, at_clamp = _bracketed_node(cap_price, market[q])
+        bracketed.append(node)
+        if at_clamp:
+            bracket_clamped.append(int(ladder_quotes.maturities_months[q]))
+    gap = np.abs(nodes - bracketed)
+    assert np.all(gap <= 1e-12 * np.abs(bracketed))
+    assert result.clamped_months == bracket_clamped == clamped
+    assert result.stop_reason == "clamped"
+
+
+@pytest.mark.parametrize(
+    "ladder, strike_bp, clamped",
+    [
+        ("clean", -25, [5, 6, 60, 84]),
+        ("clean", 50, [5, 36, 84, 180]),
+        ("clean", 100, [60, 84, 180]),
+        ("raw", -100, [4, 5, 24, 36, 84, 180]),
+    ],
+)
+def test_bootstrap_node_without_a_positive_slope_tests_zero_vol(
+    schedule, quotes, clean_quotes, ladder, strike_bp, clamped
+):
+    # at these strikes some cubic node's cap price does not rise with the
+    # node at its flat-vol start; zero vol is tested next, and overprices
+    base = quotes if ladder == "raw" else clean_quotes
+    ladder_quotes = cs.CapQuoteSet(base.maturities_months, base.flat_vols, strike_bp * 1e-4)
+    result = cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="cubic"))
+    assert result.clamped_months == clamped
+    assert result.stop_reason == "clamped"
+    market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
+    _assert_unclamped_caps_reprice(schedule, ladder_quotes, market, result)
 
 
 @pytest.mark.parametrize("ladder", ["raw", "clean"])
