@@ -157,14 +157,10 @@ class CapletTable:
         return prices, vega, vega * q * q / vols
 
 
-def price_vector(forwards, strike, expiries, accruals, discounts, vols, clamp=False):
-    """Vectorized caplet prices; vols at or below zero price as intrinsic.
-
-    clamp=True floors the vols at zero first (engine evaluation mode);
-    otherwise non-positive vols simply hit the intrinsic branch.
-    """
-    sig = np.maximum(vols, 0.0) if clamp else np.asarray(vols, dtype=float)
-    return CapletTable(forwards, strike, expiries, accruals, discounts).price(sig)
+def price_vector(forwards, strike, expiries, accruals, discounts, vols):
+    """Vectorized caplet prices; vols at or below zero price as intrinsic."""
+    vols = np.asarray(vols, dtype=float)
+    return CapletTable(forwards, strike, expiries, accruals, discounts).price(vols)
 
 
 def vega_vector(forwards, strike, expiries, accruals, discounts, vols):

@@ -365,7 +365,7 @@ def _merge_json_config(ctx, values, config_path):
         return values
     try:
         raw = json.loads(Path(config_path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise InputError(f"config {config_path}: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"config {config_path}: expected a JSON object")
@@ -380,6 +380,13 @@ def _merge_json_config(ctx, values, config_path):
             raise InputError(
                 f"config {config_path}: {key!r} must be {name}; got {json.dumps(value)}"
             )
+        if types is _NUMBER[0]:
+            try:
+                float(value)
+            except OverflowError:
+                raise InputError(
+                    f"config {config_path}: {key!r} is an integer too large for a float"
+                ) from None
         if ctx.get_parameter_source(key) in (source.DEFAULT, None):
             merged[key] = value
     return merged

@@ -6,8 +6,10 @@ pricing: floored at zero (or at the positivity floor), so negative node
 values (allowed while solving with positivity 'none') price as zero vol,
 or exponentiated under 'exp'. The node engines sample the curve through a
 CurveBasis, a matrix on the node values built once per solve, and the
-global solver differentiates that map exactly (EvaluationCore). Market
-cap prices come from the quoted flat vols.
+global solver differentiates that map exactly (EvaluationCore). Each
+engine call builds one Ladder: the caplet counts of the quoted caps, their
+market prices at the quoted flat vols, and the caplet table that prices
+the curve and reprices the result.
 """
 
 import math
@@ -131,6 +133,52 @@ class StripResult:
         return float(np.min(self.node_values)) * 1e4
 
 
+class Ladder:
+    """The market side of one quote ladder, built once per engine call.
+
+    counts[q] is cap q's caplet count and market its price at its flat vol
+    (diagnostics.cap_prices). times are the longest cap's fixings, table its
+    CapletTable, and delta the caplet accrual in years.
+    """
+
+    def __init__(self, schedule, quotes):
+        self.quotes = quotes
+        self.counts = np.array([schedule.caplet_count(m) for m in quotes.maturities_months])
+        self.market = diagnostics.cap_prices(schedule, quotes)
+        n = self.counts[-1]
+        self.times = schedule.fixing_times[:n]
+        self.tenor_months = schedule.tenor_months
+        self.delta = schedule.tenor_months / 12.0
+        self.table = bachelier.CapletTable(
+            schedule.forwards[:n], quotes.strike, self.times,
+            schedule.accruals[:n], schedule.discounts[:n],
+        )
+
+    def node_times(self, placement):
+        return place_nodes(self.quotes.maturities_months, self.tenor_months, placement)
+
+    def cap_sums(self, caplet_prices):
+        """Cap prices from the prices of the caplets, each cap the first counts[q]."""
+        cumulative = np.concatenate(([0.0], np.cumsum(caplet_prices)))
+        return cumulative[self.counts]
+
+    def result(self, method, taus, values, caplet_vols, config, **kw):
+        """The StripResult of these caplet vols, repriced against the market."""
+        model = self.cap_sums(self.table.price(caplet_vols))
+        return StripResult(
+            method=method,
+            quote_months=self.quotes.maturities_months.copy(),
+            market_prices_bp=self.market * 1e4,
+            residuals_bp=(model - self.market) * 1e4,
+            node_times=taus,
+            node_values=np.asarray(values, dtype=float),
+            caplet_times=self.times,
+            caplet_vols=caplet_vols,
+            config=config,
+            **kw,
+        )
+
+
 @dataclass(frozen=True)
 class VolMap:
     """Curve values -> pricing vols: the engines' positivity convention.
@@ -209,31 +257,23 @@ class _Point(NamedTuple):
 
 
 class EvaluationCore:
-    """Node values -> vols at the fixings -> cap prices, for one quote ladder.
+    """Node values -> vols at the fixings -> cap prices, for one Ladder.
 
-    counts are the caplet counts of the caps to price; the curve is sampled
-    at the first counts[-1] fixings through one CurveBasis, and those
-    caplets are priced off one CapletTable.
+    The curve on nodes taus is sampled at the ladder's fixings through one
+    CurveBasis, and its caplets are priced off the ladder's CapletTable.
     """
 
-    def __init__(self, schedule, strike, counts, taus, config, vol_map):
-        self.table = _caplet_table(schedule, strike, counts[-1])
-        self.counts = counts
+    def __init__(self, ladder, taus, config, vol_map):
+        self.ladder = ladder
         self.vol_map = vol_map
-        self.basis = CurveBasis(
-            config.family,
-            taus,
-            schedule.fixing_times[: counts[-1]],
-            config.beta,
-            schedule.tenor_months / 12.0,
-        )
+        self.basis = CurveBasis(config.family, taus, ladder.times, config.beta, ladder.delta)
 
     def evaluate(self, x):
         matrix = self.basis.matrix(x)
         curve = matrix @ x
         vols = self.vol_map(curve)
-        prices, vegas = self.table.price_vega(vols)
-        return _Point(matrix, curve, vols, _cap_sums(prices, self.counts), vegas)
+        prices, vegas = self.ladder.table.price_vega(vols)
+        return _Point(matrix, curve, vols, self.ladder.cap_sums(prices), vegas)
 
     def jacobian(self, point):
         """d(cap prices)/dx = C diag(vega * dvol/dcurve) W at an evaluated point.
@@ -243,46 +283,7 @@ class EvaluationCore:
         nothing is priced here.
         """
         weights = point.vegas * self.vol_map.slope(point.curve, point.vols)
-        return np.cumsum(weights[:, None] * point.matrix, axis=0)[self.counts - 1]
-
-
-def _caplet_counts(schedule, quotes):
-    return np.array([schedule.caplet_count(m) for m in quotes.maturities_months])
-
-
-def _node_times(schedule, quotes, config):
-    return place_nodes(quotes.maturities_months, schedule.tenor_months, config.placement)
-
-
-def _caplet_table(schedule, strike, n):
-    """The table that prices the first n caplets."""
-    return bachelier.CapletTable(
-        schedule.forwards[:n], strike, schedule.fixing_times[:n],
-        schedule.accruals[:n], schedule.discounts[:n],
-    )
-
-
-def _cap_sums(prices, counts):
-    """Cap prices from the prices of their caplets, each cap the first counts[q]."""
-    cumulative = np.concatenate(([0.0], np.cumsum(prices)))
-    return cumulative[counts]
-
-
-def _finish(method, schedule, table, quotes, market, taus, values, caplet_vols, config, **kw):
-    counts = _caplet_counts(schedule, quotes)
-    model = _cap_sums(table.price(caplet_vols), counts)
-    return StripResult(
-        method=method,
-        quote_months=quotes.maturities_months.copy(),
-        market_prices_bp=market * 1e4,
-        residuals_bp=(model - market) * 1e4,
-        node_times=taus,
-        node_values=np.asarray(values, dtype=float),
-        caplet_times=schedule.fixing_times[: counts[-1]],
-        caplet_vols=caplet_vols,
-        config=config,
-        **kw,
-    )
+        return np.cumsum(weights[:, None] * point.matrix, axis=0)[self.ladder.counts - 1]
 
 
 def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
@@ -401,20 +402,17 @@ def bootstrap_sequential(schedule, quotes, config=None):
         raise InputError(
             "midpoint nodes with a non-flat family are not triangular; use the global solver"
         )
-    return _bootstrap(schedule, quotes, config)
+    return _bootstrap(Ladder(schedule, quotes), config)
 
 
-def _bootstrap(schedule, quotes, config, market=None, table=None, nodes_only=False):
-    """The sequential bootstrap's StripResult, or with nodes_only its node values alone."""
-    counts = _caplet_counts(schedule, quotes)
-    taus = _node_times(schedule, quotes, config)
-    if market is None:
-        market = diagnostics.cap_prices(schedule, quotes)
-    if table is None:
-        table = _caplet_table(schedule, quotes.strike, counts[-1])
+def _bootstrap(ladder, config, nodes_only=False):
+    """The sequential bootstrap's StripResult on a Ladder, or with nodes_only
+    its node values alone (the global solver's start, on the global call's
+    ladder)."""
+    quotes, counts, market, times = ladder.quotes, ladder.counts, ladder.market, ladder.times
+    taus = ladder.node_times(config.placement)
     vol_map = VolMap.of(config, "bootstrap")
-    family, beta, delta = config.family, config.beta, schedule.tenor_months / 12.0
-    times = schedule.fixing_times[: counts[-1]]
+    family, beta, delta = config.family, config.beta, ladder.delta
     local = family not in ("cubic", "hyman")
     if local:
         # on cap q's fixings, the curve through nodes 0..q is the whole
@@ -447,8 +445,8 @@ def _bootstrap(schedule, quotes, config, market=None, table=None, nodes_only=Fal
         split = _split_rows(column != 0.0) if line is None else (slice(start), slice(start, None))
         # start at the flat vol, the one vol that prices the whole cap
         values[q], at_clamp = _newton_node(
-            table[:rows], fixed, column, market[q], quotes.flat_vols[q], vol_map, split, line,
-            zero_first=family == "hyman",
+            ladder.table[:rows], fixed, column, market[q], quotes.flat_vols[q], vol_map, split,
+            line, zero_first=family == "hyman",
         )
         if at_clamp:
             clamped.append(int(quotes.maturities_months[q]))
@@ -456,18 +454,9 @@ def _bootstrap(schedule, quotes, config, market=None, table=None, nodes_only=Fal
         return values
     final = VolCurve(family, taus, values, beta=beta, delta=delta)
     caplet_vols = vol_map(final(times))
-    result = _finish(
-        "bootstrap",
-        schedule,
-        table,
-        quotes,
-        market,
-        taus,
-        values,
-        caplet_vols,
-        config,
-        clamped_months=clamped,
-        stop_reason="clamped" if clamped else "priced",
+    result = ladder.result(
+        "bootstrap", taus, values, caplet_vols, config,
+        clamped_months=clamped, stop_reason="clamped" if clamped else "priced",
     )
     result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
     return result
@@ -525,19 +514,16 @@ def strip_global(schedule, quotes, config=None):
     is 'priced' when the ladder reprices, else the stop test that fired.
     """
     config = config or StripConfig()
-    counts = _caplet_counts(schedule, quotes)
-    taus = _node_times(schedule, quotes, config)
-    market = diagnostics.cap_prices(schedule, quotes)
+    ladder = Ladder(schedule, quotes)
+    market = ladder.market
+    taus = ladder.node_times(config.placement)
     vol_map = VolMap.of(config)
-    core = EvaluationCore(schedule, quotes.strike, counts, taus, config, vol_map)
+    core = EvaluationCore(ladder, taus, config, vol_map)
 
     # linear-family bootstrap start: family-neutral and free of the spline
     # overshoot a same-family start can bake into the frozen directions
     init_family = "flat" if config.family == "flat" else "linear"
-    init = _bootstrap(
-        schedule, quotes, replace(config, family=init_family), market, core.table,
-        nodes_only=True,
-    )
+    init = _bootstrap(ladder, replace(config, family=init_family), nodes_only=True)
     lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
     # under 'exp' the family interpolates log-vols
     x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)
@@ -560,10 +546,7 @@ def strip_global(schedule, quotes, config=None):
     )
     vols = core.evaluate(fit.x).vols
     values = vol_map(fit.x) if vol_map.log else fit.x
-    result = _finish(
-        "global", schedule, core.table, quotes, market, taus, values, vols, config,
-        iterations=fit.nfev,
-    )
+    result = ladder.result("global", taus, values, vols, config, iterations=fit.nfev)
     # whichever test stopped the solver, only a repriced ladder has converged
     result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
     result.stop_reason = "priced" if result.converged else _STOP_TESTS[fit.status]
@@ -611,29 +594,17 @@ def strip_time_value(schedule, quotes, config=None):
         quotes.flat_vols[np.isin(quotes.maturities_months, months.astype(int))],
         quotes.strike,
     )
-    market = diagnostics.cap_prices(schedule, kept)
-    n = _caplet_counts(schedule, kept)[-1]
-    table = _caplet_table(schedule, kept.strike, n)
+    ladder = Ladder(schedule, kept)
+    n = ladder.counts[-1]
 
     knot_t = np.concatenate(([0.0], months / 12.0))
     knot_tv = np.concatenate(([0.0], tv))
     tv_at_pay = build_monotone_c2(knot_t, knot_tv)(schedule.pay_times[:n])
     levels = np.maximum.accumulate(np.maximum(tv_at_pay, 0.0))
-    targets = table.intrinsic + np.diff(levels, prepend=0.0)
+    targets = ladder.table.intrinsic + np.diff(levels, prepend=0.0)
     caplet_vols = bachelier.implied_vol_vector(
         schedule.forwards[:n], kept.strike, schedule.fixing_times[:n],
         schedule.accruals[:n], schedule.discounts[:n], targets,
     )
 
-    return _finish(
-        "tv",
-        schedule,
-        table,
-        kept,
-        market,
-        months / 12.0,
-        tv,
-        caplet_vols,
-        config,
-        removed_months=removed,
-    )
+    return ladder.result("tv", months / 12.0, tv, caplet_vols, config, removed_months=removed)

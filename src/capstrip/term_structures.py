@@ -15,6 +15,9 @@ class InputError(ValueError):
     """Malformed or inconsistent user input (bad CSV, bad config value)."""
 
 
+MAX_HORIZON_MONTHS = 1200  # 100 years: the longest caplet schedule built
+
+
 def _load_csv_columns(path, first_col, second_col):
     """Read a two-column CSV, returning two float lists.
 
@@ -149,7 +152,11 @@ class CapletSchedule:
 
 
 def build_schedule(forward_curve, discount_curve, max_maturity_months, tenor_months=1):
-    """Build the caplet grid out to the last cap maturity."""
+    """Build the caplet grid out to the last cap maturity, at most MAX_HORIZON_MONTHS."""
+    if max_maturity_months > MAX_HORIZON_MONTHS:
+        raise InputError(
+            f"last maturity {max_maturity_months}M is past the {MAX_HORIZON_MONTHS}M horizon"
+        )
     if max_maturity_months < 2 * tenor_months:
         raise InputError("max maturity must cover at least one caplet")
     if max_maturity_months % tenor_months:

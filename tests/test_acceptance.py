@@ -172,7 +172,7 @@ def _model_cap_prices(schedule, family, taus, values, counts):
     vols = np.maximum(curve(schedule.fixing_times[:head]), 0.0)
     prices = cs.price_vector(
         schedule.forwards[:head], 0.0, schedule.fixing_times[:head],
-        schedule.accruals[:head], schedule.discounts[:head], vols, clamp=True,
+        schedule.accruals[:head], schedule.discounts[:head], vols,
     )
     return np.concatenate(([0.0], np.cumsum(prices)))[counts]
 

@@ -156,17 +156,18 @@ def test_below_intrinsic_raises_with_deficit():
     assert err.value.deficit == pytest.approx(1e-6, rel=1e-6)
 
 
-def test_price_vector_clamps_negative_vols():
-    forwards = np.array([0.02, 0.015])
-    expiries = np.array([0.5, 1.0])
-    accruals = np.full(2, 1.0 / 12.0)
-    discounts = np.array([0.99, 0.98])
-    vols = np.array([-0.01, 0.008])
-    clamped = cs.price_vector(forwards, 0.018, expiries, accruals, discounts, vols, clamp=True)
+def test_negative_vols_price_as_zero_vol():
+    # in and out of the money, at the money (F == K), and one positive vol
+    forwards = np.array([0.02, 0.015, 0.018, 0.025, 0.01])
+    expiries = np.array([0.5, 1.0, 2.0, 0.25, 3.0])
+    accruals = np.full(5, 1.0 / 12.0)
+    discounts = np.array([0.99, 0.98, 0.96, 0.995, 0.94])
+    vols = np.array([-0.01, -0.0, -5e-324, -np.inf, 0.008])
+    negative = cs.price_vector(forwards, 0.018, expiries, accruals, discounts, vols)
     at_zero = cs.price_vector(
-        forwards, 0.018, expiries, accruals, discounts, np.array([0.0, 0.008]), clamp=False
+        forwards, 0.018, expiries, accruals, discounts, np.array([0.0, 0.0, 0.0, 0.0, 0.008])
     )
-    np.testing.assert_array_equal(clamped, at_zero)
+    assert negative.tobytes() == at_zero.tobytes()
 
 
 def test_intrinsic_vector_matches_scalar():

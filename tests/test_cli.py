@@ -228,6 +228,10 @@ def test_unknown_config_key_is_rejected(tmp_path):
         {"mad_threshold": [1]},
         {"tenor_months": 1.5},
         {"strict": "false"},
+        # integers a float cannot hold
+        {"strike_bp": 10**400},
+        {"beta": 10**400},
+        {"mad_threshold": -(10**400)},
     ],
 )
 def test_config_value_of_the_wrong_type_writes_nothing(tmp_path, entry):
@@ -238,6 +242,14 @@ def test_config_value_of_the_wrong_type_writes_nothing(tmp_path, entry):
     _assert_rejected(result, out)
     (key,) = entry
     assert repr(key) in result.stderr
+
+
+def test_config_integer_past_the_digit_limit_writes_nothing(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"strike_bp": 1' + "0" * 5000 + "}")
+    out = tmp_path / "out"
+    result = _invoke(["run", *_market_args(), "--config", str(cfg), "--out", str(out)])
+    _assert_rejected(result, out)
 
 
 def test_far_quote_extends_the_curve(tmp_path):
@@ -344,6 +356,7 @@ def test_non_finite_curve_rate_is_rejected(tmp_path):
         (["--mad-threshold", "nan"], "MAD"),
         (["--method", "global", "--positivity", "floor=nan"], "floor"),
         (["--strike-bp", "nan"], "strike"),
+        (["--far-quote", "999999999999999"], "horizon"),
     ],
 )
 def test_out_of_range_flag_writes_nothing(tmp_path, flags, word):

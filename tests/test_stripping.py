@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 import capstrip as cs
 from capstrip.cli import _STANDARD_ROWS, compare_methods
-from capstrip.stripping import CurveBasis, EvaluationCore, VolMap
+from capstrip.stripping import CurveBasis, EvaluationCore, Ladder, VolMap
 from capstrip.vol_interpolation import basis_matrix, hermite_basis, hyman_slopes
 
 
@@ -51,7 +51,6 @@ def _cap_prices_from_nodes(schedule, strike, family, taus, values, months, beta=
         schedule.accruals[: counts[-1]],
         schedule.discounts[: counts[-1]],
         vols,
-        clamp=True,
     )
     return np.concatenate(([0.0], np.cumsum(prices)))[counts]
 
@@ -185,10 +184,11 @@ def _assert_unclamped_caps_reprice(schedule, quotes, market, result):
 def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, family, ladder):
     ladder_quotes = quotes if ladder == "raw" else clean_quotes
     config = cs.StripConfig(family=family)
-    # the market prices are the caller's (the global solver passes its own)
-    market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
+    # the ladder's market prices and table, as strip_global's start gets its call's
+    shared = Ladder(schedule, ladder_quotes)
+    market = shared.market
     passes = _count_kernel_passes(monkeypatch)
-    result = cs.stripping._bootstrap(schedule, ladder_quotes, config, market)
+    result = cs.stripping._bootstrap(shared, config)
     monkeypatch.undo()
 
     # one kernel pass per Newton step (the first prices the whole prefix
@@ -216,7 +216,7 @@ def test_bootstrap_builds_one_basis_per_ladder(
             return build(*args)
 
         monkeypatch.setattr(cs.stripping, name, counted)
-    cs.stripping._bootstrap(schedule, ladder_quotes, cs.StripConfig(family=family))
+    cs.stripping._bootstrap(Ladder(schedule, ladder_quotes), cs.StripConfig(family=family))
     monkeypatch.undo()
     nodes = len(ladder_quotes)
     expected = {
@@ -247,7 +247,7 @@ def test_cubic_prefix_bases_are_cut_from_the_ladder_hermite_basis(
     # midpoint nodes reach past cap q's last fixing, where the cut basis is not the prefix's
     for family in ("cubic", "hyman"):
         with pytest.raises(cs.InputError, match="at-maturity"):
-            cs.stripping._bootstrap(schedule, ladder_quotes, cs.StripConfig(family, "mid"))
+            cs.stripping._bootstrap(Ladder(schedule, ladder_quotes), cs.StripConfig(family, "mid"))
 
 
 @pytest.mark.parametrize("ladder", ["raw", "clean"])
@@ -284,36 +284,43 @@ def test_global_start_bootstraps_the_nodes_alone(
     monkeypatch, schedule, quotes, clean_quotes, ladder
 ):
     """strip_global's start asks the bootstrap for its nodes only: they are
-    the full result's, to the bit, and no curve or result is built for them."""
+    the full result's, to the bit, and no curve or result is built for them.
+    The start runs on the global call's own ladder: one Ladder is built and
+    the market is priced once."""
     ladder_quotes = quotes if ladder == "raw" else clean_quotes
-    market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
+    shared = Ladder(schedule, ladder_quotes)
     configs = [cs.StripConfig(family=family) for family in cs.FAMILIES] + [
         cs.StripConfig(family=family, placement="mid") for family in ("flat", "linear")
     ]
     for config in configs:
-        result = cs.stripping._bootstrap(schedule, ladder_quotes, config, market)
-        nodes = cs.stripping._bootstrap(schedule, ladder_quotes, config, market, nodes_only=True)
+        result = cs.stripping._bootstrap(shared, config)
+        nodes = cs.stripping._bootstrap(shared, config, nodes_only=True)
         assert nodes.tobytes() == result.node_values.tobytes(), config
 
     built = []
-    for name in ("VolCurve", "_finish"):
+    for owner, name in (
+        (cs.stripping, "VolCurve"),
+        (cs.stripping, "Ladder"),
+        (Ladder, "result"),
+        (cs.diagnostics, "cap_prices"),
+    ):
 
-        def counted(*args, name=name, build=getattr(cs.stripping, name), **kwargs):
+        def counted(*args, name=name, build=getattr(owner, name), **kwargs):
             built.append(name)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(cs.stripping, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     cs.strip_global(schedule, ladder_quotes, cs.StripConfig(family="cubic", placement="mid"))
     monkeypatch.undo()
-    assert built == ["_finish"]
+    assert built == ["Ladder", "cap_prices", "result"]
 
 
 @pytest.mark.parametrize("family", ["linear", "cubic", "hyman"])
 def test_jacobian_makes_no_kernel_pass(monkeypatch, schedule, clean_quotes, family):
     config = cs.StripConfig(family=family, placement="mid")
-    counts = _counts(schedule, clean_quotes.maturities_months)
-    core = EvaluationCore(schedule, 0.0, counts, _fixture_nodes(clean_quotes), config, VolMap())
-    x = 70e-4 + 8e-4 * np.sin(np.arange(len(counts)))
+    taus = _fixture_nodes(clean_quotes)
+    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config, VolMap())
+    x = 70e-4 + 8e-4 * np.sin(np.arange(len(clean_quotes)))
     passes = _count_kernel_passes(monkeypatch)
     point = core.evaluate(x)
     assert passes == ["price_vega"]
@@ -341,13 +348,14 @@ def test_hyman_newton_agrees_with_the_bracketed_solve(
     result = cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="hyman"))
     market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
     counts = _counts(schedule, ladder_quotes.maturities_months)
+    full_table = Ladder(schedule, ladder_quotes).table
     taus, nodes = result.node_times, result.node_values
     # every node by bracket doubling and Brent on the hyman curve through
     # nodes 0..q, with the earlier nodes the result's
     bracketed, bracket_clamped = [], []
     for q, rows in enumerate(counts):
         basis = CurveBasis("hyman", taus[: q + 1], schedule.fixing_times[:rows], 1.0, 1 / 12)
-        table = cs.stripping._caplet_table(schedule, ladder_quotes.strike, rows)
+        table = full_table[:rows]
 
         def cap_price(x, basis=basis, table=table, q=q):
             return table.price(np.maximum(basis(np.append(nodes[:q], x)), 0.0)).sum()
@@ -401,7 +409,7 @@ def test_node_engines_build_no_curve_per_node(
         return curve_class(*args, **kwargs)
 
     def counted_bootstrap(*args, **kwargs):
-        bootstraps.append(args[2].family)
+        bootstraps.append(args[1].family)
         return bootstrap(*args, **kwargs)
 
     monkeypatch.setattr(cs.stripping, "VolCurve", counted_curve)
@@ -695,9 +703,8 @@ def test_hyman_slope_map_covers_every_clamp_kind(quotes):
 @pytest.mark.parametrize("positivity", ["none", "nonneg", "exp"])
 def test_core_jacobian_matches_central_differences(schedule, clean_quotes, family, positivity):
     config = cs.StripConfig(family=family, placement="mid", positivity=positivity)
-    counts = _counts(schedule, clean_quotes.maturities_months)
     taus = _fixture_nodes(clean_quotes)
-    core = EvaluationCore(schedule, 0.0, counts, taus, config, VolMap.of(config))
+    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config, VolMap.of(config))
     # positive nodes keep the curve off the zero floor; for hyman, points
     # inside a clamp set with no bound active, and with an upper and a
     # lower bound active (nodes 1 and 4)

@@ -63,6 +63,15 @@ def test_schedule_translation_consistency(forward_curve, discount_curve, schedul
     np.testing.assert_array_equal(short.discounts, schedule.discounts[:n])
 
 
+def test_schedule_horizon_is_bounded(forward_curve, discount_curve):
+    longest = cs.build_schedule(forward_curve, discount_curve, 1200, tenor_months=12)
+    assert len(longest) == 99
+    with pytest.raises(cs.InputError, match="horizon"):
+        cs.build_schedule(forward_curve, discount_curve, 1212, tenor_months=12)
+    with pytest.raises(cs.InputError, match="horizon"):
+        cs.build_schedule(forward_curve, discount_curve, 10**400)
+
+
 def test_caplet_count(schedule):
     assert schedule.caplet_count(2) == 1
     assert schedule.caplet_count(12) == 11
