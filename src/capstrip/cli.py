@@ -11,11 +11,23 @@ A run writes up to five artifacts under the output directory:
 Bp quantities in CSV output carry 4 decimal places; the JSON sidecar keeps
 full precision. Identical inputs produce byte-identical files.
 
+strip.csv and volcurve_daily.csv (one line per day, up to 36,500) are
+written by one vectorised fixed-point writer (_csv_rows), whose every
+cell is the text "%.4f" % v gives, or "%.6f" % (d / 365) for the day
+column. A vol prints as the integer floor(|v| 1e4) + (fraction > 1/2):
+the product errs by at most half an ulp, so only values within 4 ulps of
+a half are in doubt, and those are rounded exactly, half to even, by
+decimal. The day column is the integer (2e6 d + 365) // 730, exact
+because 365 is odd. A column with a non-finite value, or one whose
+|v| 1e4 reaches 2**52 and so has no room for its digits in int64, is
+printed by `%` value by value.
+
 Exit codes: 0 success; 2 when --strict is set, the outlier policy is off,
 and the quote ladder has arbitrage violations; 1 for any input problem.
 """
 
 import dataclasses
+import decimal
 import json
 import sys
 from pathlib import Path
@@ -167,11 +179,124 @@ def _outliers_text(quotes, report):
     return _csv_text(lines)
 
 
+def _word(text):
+    """A 4-byte ASCII word as one uint32, NUL-padded on the left."""
+    return np.frombuffer(text.encode("ascii").rjust(4, b"\0"), np.uint32)[0]
+
+
+def _digit_words():
+    """Words for 4-digit groups: 0..9999 as "0000".."9999", then
+    10000 + k as k without its leading zeros ("0" for 0), then 20000, all NUL."""
+    places = np.array([1000, 100, 10, 1])
+    digits = np.arange(10_000)[:, None] // places % 10 + ord("0")
+    leading = np.where((np.arange(10_000)[:, None] < places) & (places > 1), 0, digits)
+    table = np.concatenate((digits, leading, np.zeros((1, 4), int)))
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+_MINUS, _POINT, _COMMA, _NEWLINE = _word("-"), _word("."), _word(",\0\0\0"), _word("\n\0\0\0")
+_BP_STEP = decimal.Decimal("1e-4")
+_BLOCK_ROWS = 2048
+
+
+def _fixed_words(n, decimals, negative):
+    """The "%.{decimals}f" text of each signed n / 10**decimals, n >= 0 in
+    int64, as a row of uint32 words, NUL-padded; the first word is the
+    sign's, with its first byte left free for a separator."""
+    whole, fraction = np.divmod(n, 10**decimals)
+    int_words = -(-len(str(int(whole.max(initial=0)))) // 4)
+    frac_words = -(-decimals // 4)
+    point_word = decimals > 0 and decimals % 4 == 0
+    words = np.empty((len(n), 1 + int_words + point_word + frac_words), np.uint32)
+    words[:, 0] = np.where(negative, _MINUS, 0)
+    for j in range(int_words):
+        # the leading group prints without its zeros, and groups above it not at all
+        group = whole // 10 ** (4 * j) % 10_000 + 10_000 * (whole < 10 ** (4 * j + 4))
+        if j:
+            group[whole < 10 ** (4 * j)] = 20_000
+        words[:, int_words - j] = _DIGIT_WORDS[group]
+    if point_word:
+        words[:, int_words + 1] = _POINT
+    for j in range(frac_words):
+        words[:, -1 - j] = _DIGIT_WORDS[fraction // 10 ** (4 * j) % 10_000]
+    if decimals % 4:
+        # the top fraction word keeps its last decimals % 4 digits, after the point
+        kept = decimals % 4
+        mask = np.frombuffer(bytes(4 - kept) + b"\xff" * kept, np.uint32)[0]
+        words[:, -frac_words] &= mask
+        words[:, -frac_words] |= _word("." + "\0" * kept)
+    return words
+
+
+def _bp_words(values):
+    """_fixed_words' "%.4f" rows of float values, each exactly as `%` prints it.
+
+    n = floor(|v| 1e4) + (fraction > 1/2) is |v| to 4 decimals, rounded
+    as `%` rounds, wherever the product's half-ulp error cannot carry the
+    fraction across 1/2; the few within 4 ulps of a half are rounded
+    exactly, half to even, by decimal, whose 28 digits hold n's 16. The
+    sign is the sign bit, so -0.0 and tiny negatives print -0.0000. A
+    column with a non-finite value, or one reaching 2**52 after scaling,
+    where int64 has no room left for the digits, is formatted by `%` value
+    by value.
+    """
+    scaled = np.abs(values) * 1e4
+    if not (np.all(np.isfinite(scaled)) and scaled.max(initial=0.0) < 2.0**52):
+        text = np.array(["%.4f" % v for v in values.tolist()], dtype=bytes)
+        words = np.zeros((len(text), 1 + -(-text.itemsize // 4)), np.uint32)
+        words.view(np.uint8)[:, 4 : 4 + text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+        return words
+    whole = np.floor(scaled)
+    fraction = scaled - whole
+    n = whole.astype(np.int64) + (fraction > 0.5)
+    # an ulp of scaled is at most scaled * 2**-52, so this takes in 4 ulps
+    for i in np.flatnonzero(np.abs(fraction - 0.5) <= scaled * 2.0**-50):
+        exact = decimal.Decimal(abs(float(values[i]))).quantize(_BP_STEP, decimal.ROUND_HALF_EVEN)
+        n[i] = int(exact.scaleb(4))
+    return _fixed_words(n, 4, np.signbit(values))
+
+
+def _day_words(days):
+    """_fixed_words' "%.6f" rows of d / 365 for whole days d.
+
+    That text is d * 1e6 / 365 rounded to an integer. 365 is odd, so the
+    quotient is never within 1/730 of a half, far beyond its float error,
+    and (2e6 d + 365) // 730 is that integer exactly.
+    """
+    return _fixed_words((2_000_000 * days + 365) // 730, 6, False)
+
+
+def _month_words(times):
+    """_fixed_words' rows of round(t * 12) for times t in years; np.rint
+    rounds halves to even, as round does."""
+    months = np.rint(times * 12.0).astype(np.int64)
+    return _fixed_words(np.abs(months), 0, months < 0)
+
+
+def _csv_rows(header, *columns):
+    """header, then one line per row of the (words, values) columns, whose
+    words function writes a block of values as its rows of words;
+    comma-separated, NULs dropped. Blocks of _BLOCK_ROWS rows bound the
+    memory the temporaries hold."""
+    text = [header]
+    for start in range(0, len(columns[0][1]), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        cells = [words(values[block]) for words, values in columns]
+        lines = np.concatenate(cells, axis=1)
+        lines[:, 0] |= _NEWLINE  # each row opens with the line break before it
+        lines[:, np.cumsum([cell.shape[1] for cell in cells[:-1]], dtype=int)] |= _COMMA
+        text.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
+    text.append("\n")
+    return "".join(text)
+
+
 def _strip_csv_text(result):
-    lines = ["fixing_months,caplet_vol_bp"]
-    for t, vol in zip(result.caplet_times, result.caplet_vols):
-        lines.append(f"{round(t * 12)},{vol * 1e4:.4f}")
-    return _csv_text(lines)
+    return _csv_rows(
+        "fixing_months,caplet_vol_bp",
+        (_month_words, np.asarray(result.caplet_times, dtype=float)),
+        (_bp_words, np.asarray(result.caplet_vols, dtype=float) * 1e4),
+    )
 
 
 def _strip_json_text(result, config):
@@ -198,12 +323,8 @@ def _strip_json_text(result, config):
 def _daily_curve_text(result, tenor_months):
     sigma = evaluated_curve(result, tenor_months)
     days = np.arange(1, int(np.floor(result.caplet_times[-1] * 365.0)) + 1)
-    times = days / 365.0
-    vols_bp = np.asarray(sigma(times), dtype=float) * 1e4
-    # one format call over the interleaved (t, vol) pairs: the per-line
-    # "%.6f,%.4f" conversions, without a string per line
-    pairs = np.column_stack((times, vols_bp)).ravel()
-    return "t_years,caplet_vol_bp\n" + ("%.6f,%.4f\n" * len(times)) % tuple(pairs.tolist())
+    vols_bp = np.asarray(sigma(days / 365.0), dtype=float) * 1e4
+    return _csv_rows("t_years,caplet_vol_bp", (_day_words, days), (_bp_words, vols_bp))
 
 
 def _write_files(out, files):

@@ -11,6 +11,7 @@ window.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bachelier
 from .term_structures import InputError, _load_csv_columns
@@ -170,11 +171,12 @@ def detect_outliers(quotes, window=5, threshold=3.0):
     vols = quotes.flat_vols
     half = window // 2
     n = len(vols)
-    residual = np.empty(n)
-    for q in range(n):
-        lo = max(0, q - half)
-        hi = min(n, q + half + 1)
-        residual[q] = vols[q] - np.median(vols[lo:hi])
+    residual = vols.copy()
+    if n >= window:
+        # the full windows, centred on quotes half..n-half-1, in one call
+        residual[half : n - half] -= np.median(sliding_window_view(vols, window), axis=1)
+    for q in (*range(min(half, n)), *range(max(half, n - half), n)):
+        residual[q] -= np.median(vols[max(0, q - half) : q + half + 1])
     med = np.median(residual)
     mad = np.median(np.abs(residual - med))
     if mad == 0.0:

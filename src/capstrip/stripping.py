@@ -427,6 +427,7 @@ def _bootstrap(ladder, config, nodes_only=False):
         # Hermite basis of nodes 0..q is the ladder's cut to its first q + 1 columns
         hermite = hermite_basis(taus, times)
     values = np.zeros(len(quotes))
+    known_map = np.zeros((0, 0))  # hyman's slope map of the solved nodes
     clamped = []
     for q, rows in enumerate(counts):
         # cap q alone, on the curve fixed + x * column through nodes 0..q
@@ -438,7 +439,8 @@ def _bootstrap(ladder, config, nodes_only=False):
             prefix = _cubic_prefix(hermite, taus, times[:rows], q)
             fixed, column = prefix[:, :q] @ known, prefix[:, q]
         else:
-            line, start = _hyman_line(hermite, taus, times[:rows], known)
+            known_map = _grow_slope_map(known_map, taus, known)
+            line, start = _hyman_line(hermite, taus, times[:rows], known, known_map)
             # zero vol is tested first; node q reaches back through the
             # slopes of nodes q-1 and q only
             fixed, column = line(0.0, slice(None))
@@ -475,7 +477,22 @@ def _cubic_prefix(hermite, taus, times, q):
     return values_part + slopes_part @ natural_slope_map(taus[: q + 1])
 
 
-def _hyman_line(hermite, taus, times, known):
+def _grow_slope_map(slope_map, taus, known):
+    """hyman_slopes(taus[:q], known)[1] for q = len(known), from that of
+    known[:-1], slope_map. Slope row k reads nodes k-1..k+1, so adding node
+    q-1 changes only row q-2, which becomes the interior row of nodes
+    q-3..q-1 (the secant row of nodes 0 and 1 at q = 2), and the new last row,
+    which is zero: the flat right end."""
+    q = len(known)
+    grown = np.zeros((q, q))
+    grown[: q - 1, : q - 1] = slope_map
+    if q >= 2:
+        window = max(q - 3, 0)
+        grown[q - 2, window:] = hyman_slopes(taus[window:q], known[window:])[1][q - 2 - window]
+    return grown
+
+
+def _hyman_line(hermite, taus, times, known, known_map=None):
     """hyman's curve through nodes 0..q on cap q's fixings `times`, as
     (line, start): line(x, part) gives (fixed, column) at node q's value x
     on the rows `part`, by default those from `start`, the first fixing
@@ -483,13 +500,19 @@ def _hyman_line(hermite, taus, times, known):
 
     The spline is linear in its values on each slope-clamp set, so its
     matrix is A + B @ S(v), with (A, B) the ladder's Hermite basis cut to
-    nodes 0..q. Only the slope rows of nodes q-1 and q depend on x, and
-    node q-1's reads nodes q-2..q, so each call recomputes those two rows
-    on that window of nodes.
+    nodes 0..q. Slope rows 0..q-2 are those of the known nodes alone,
+    known_map = hyman_slopes(taus[:q], known)[1], which the bootstrap grows
+    node by node (_grow_slope_map) and which is built here when not given.
+    Only the slope rows of nodes q-1 and q depend on x, and node q-1's
+    reads nodes q-2..q, so each call recomputes those two rows on that
+    window of nodes.
     """
     q, rows = len(known), len(times)
+    if known_map is None:
+        known_map = hyman_slopes(taus[:q], known)[1]
     values_part, slopes_part = (a[:rows, : q + 1] for a in hermite)
-    slope_map = hyman_slopes(taus[: q + 1], np.append(known, 0.0))[1]
+    slope_map = np.zeros((q + 1, q + 1))
+    slope_map[:q, :q] = known_map
     moved, window = max(q - 1, 0), max(q - 2, 0)
     start = np.searchsorted(times, taus[q - 2], side="right") if q >= 2 else 0
 

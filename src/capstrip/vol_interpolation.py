@@ -264,7 +264,7 @@ def hyman_slopes(x, f):
     n = len(x)
     d = np.zeros(n)
     slope_map = np.zeros((n, n))
-    if n == 1:
+    if n <= 1:
         return d, slope_map
     h = np.diff(x)
     s = np.diff(f) / h

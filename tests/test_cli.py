@@ -14,15 +14,25 @@ import pytest
 from click.testing import CliRunner
 
 from capstrip import (
+    FAMILIES,
     CapQuoteSet,
     StripConfig,
     StripResult,
     ZeroCurve,
     bootstrap_sequential,
     build_schedule,
+    remove_outliers,
     strip_global,
+    strip_time_value,
 )
-from capstrip.cli import RunConfig, _daily_curve_text, evaluated_curve, main, run_pipeline
+from capstrip.cli import (
+    RunConfig,
+    _daily_curve_text,
+    _strip_csv_text,
+    evaluated_curve,
+    main,
+    run_pipeline,
+)
 
 DATA = Path(__file__).parent / "data"
 ARTIFACTS = ("diagnostics.csv", "outliers.csv", "strip.csv", "strip.json", "volcurve_daily.csv")
@@ -425,3 +435,116 @@ def test_daily_curve_text_matches_the_per_line_format():
     text = _daily_curve_text(result, 1)
     assert text == expected
     assert ",-0.0000\n" in text and ",1234.5678\n" in text and ",1234.5679\n" in text
+
+
+def _tv_result(times, vols):
+    """A tv result whose evaluated curve steps through `vols` at `times`."""
+    return StripResult(
+        method="tv", quote_months=np.array([2]), market_prices_bp=np.ones(1),
+        residuals_bp=np.zeros(1), node_times=times[:1], node_values=np.ones(1),
+        caplet_times=times, caplet_vols=vols,
+    )
+
+
+def _daily_curve_oracle(result, tenor_months):
+    """volcurve_daily.csv as one `%` expression over the interleaved (t, vol) pairs."""
+    days = np.arange(1, int(np.floor(result.caplet_times[-1] * 365.0)) + 1)
+    times = days / 365.0
+    vols_bp = np.asarray(evaluated_curve(result, tenor_months)(times), dtype=float) * 1e4
+    pairs = np.column_stack((times, vols_bp)).ravel()
+    return "t_years,caplet_vol_bp\n" + ("%.6f,%.4f\n" * len(times)) % tuple(pairs.tolist())
+
+
+def _strip_csv_oracle(result):
+    """strip.csv as one f-string per fixing."""
+    lines = ["fixing_months,caplet_vol_bp"]
+    for t, vol in zip(result.caplet_times, result.caplet_vols):
+        lines.append(f"{round(t * 12)},{vol * 1e4:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+def test_daily_curve_day_column_is_exact_to_the_horizon():
+    """Every day of the 1200-month horizon prints as "%.6f" % (d / 365)."""
+    times = np.arange(1, 1201) / 12.0
+    vols = np.random.default_rng(3).uniform(-5e-4, 0.05, len(times))
+    text = _daily_curve_text(_tv_result(times, vols), 1)
+    assert text == _daily_curve_oracle(_tv_result(times, vols), 1)
+    days = np.arange(1, 36_501)
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+        "%.6f" % (d / 365) for d in days
+    ]
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        [2.0**52 * 1e-8],
+        [np.nextafter(2.0**52 * 1e-8, 0.0), np.nextafter(2.0**52 * 1e-8, 1.0)],
+        [-2.0**52 * 1e-8, 1e20, -1e300],
+        [7.77777777777777e9],  # its float product with 1e8 is not its exact digits
+        [float("nan")],
+        [float("inf"), -float("inf")],
+    ],
+)
+def test_vol_columns_past_the_integer_digits_print_as_the_format_does(odd):
+    """Vols whose bp text has no room in int64 (|vol| 1e8 >= 2**52), and
+    non-finite ones, send their column to `%`; the text stays the same."""
+    vols = np.concatenate(([0.0071234, -0.0], odd, [1.23455e-4]))
+    times = np.arange(1, len(vols) + 1) / 12.0
+    result = _tv_result(times, vols)
+    assert _strip_csv_text(result) == _strip_csv_oracle(result)
+    assert _daily_curve_text(result, 1) == _daily_curve_oracle(result, 1)
+    # the largest vol that keeps its digits prints through the words
+    below = np.nextafter(2.0**52 * 1e-8, 0.0)
+    assert _strip_csv_text(_tv_result(times[:1], np.array([below]))).endswith(
+        ",%.4f\n" % (below * 1e4)
+    )
+
+
+@pytest.mark.parametrize("tenor_months", [1, 3])
+def test_strip_csv_text_matches_the_per_line_format(tenor_months):
+    forward = ZeroCurve.from_csv(DATA / "libor1m_zero_curve.csv")
+    discount = ZeroCurve.from_csv(DATA / "ois_zero_curve.csv")
+    schedule = build_schedule(forward, discount, 180, tenor_months=tenor_months)
+    months = np.array([6, 12, 24, 36, 60, 84, 120, 180])
+    quotes = CapQuoteSet(months, np.linspace(70.0, 95.0, len(months)) * 1e-4, strike=0.01)
+    for engine in (strip_time_value, bootstrap_sequential):
+        result = engine(schedule, quotes, StripConfig(family="linear"))
+        text = _strip_csv_text(result)
+        assert text == _strip_csv_oracle(result)
+        assert text.splitlines()[1].startswith(f"{tenor_months},")
+        assert _daily_curve_text(result, tenor_months) == _daily_curve_oracle(result, tenor_months)
+    # fixings at half months round to the even month, as round does
+    halves = _tv_result((np.arange(40) + 0.5) / 12.0, np.full(40, 0.0075))
+    assert _strip_csv_text(halves) == _strip_csv_oracle(halves)
+    assert _strip_csv_text(halves).splitlines()[1:4] == ["0,75.0000", "2,75.0000", "2,75.0000"]
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+def test_fixture_curves_print_as_the_format_does(ladder):
+    """strip.csv and volcurve_daily.csv equal the `%` text for tv, for every
+    family through the bootstrap at maturity and the global solver at
+    midpoints, and for the raw quintic exp mid fit, whose daily curve holds
+    nan (the `%` column) and whose free mid fit peaks near 1.09e7 bp."""
+    forward = ZeroCurve.from_csv(DATA / "libor1m_zero_curve.csv")
+    discount = ZeroCurve.from_csv(DATA / "ois_zero_curve.csv")
+    quotes = CapQuoteSet.from_csv(DATA / "cap_quotes.csv")
+    if ladder == "clean":
+        quotes = remove_outliers(quotes)[0]
+    schedule = build_schedule(forward, discount, 180)
+    runs = [(strip_time_value, StripConfig())]
+    runs += [(bootstrap_sequential, StripConfig(family=family)) for family in FAMILIES]
+    runs += [(strip_global, StripConfig(family=family, placement="mid")) for family in FAMILIES]
+    runs += [(strip_global, StripConfig(family="quintic", placement="mid", positivity="exp"))]
+    peaks = []
+    for engine, config in runs:
+        # the raw exp fit ends with a node at exactly 0, whose log is -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            result = engine(schedule, quotes, config)
+            daily = _daily_curve_text(result, 1)
+            assert daily == _daily_curve_oracle(result, 1), config
+        assert _strip_csv_text(result) == _strip_csv_oracle(result), config
+        peaks.append(max(abs(float(line.split(",")[1])) for line in daily.splitlines()[1:]))
+    if ladder == "raw":
+        assert "nan" in daily
+        assert max(peaks[:-1]) > 1e7

@@ -67,6 +67,45 @@ def test_constant_vols_are_degenerate():
     assert report.flagged == []
 
 
+def _looped_outlier_scores(vols, window, threshold, months):
+    """detect_outliers' scores, flags and degeneracy, one np.median per quote."""
+    half, n = window // 2, len(vols)
+    residual = np.empty(n)
+    for q in range(n):
+        residual[q] = vols[q] - np.median(vols[max(0, q - half) : min(n, q + half + 1)])
+    med = np.median(residual)
+    mad = np.median(np.abs(residual - med))
+    if mad == 0.0:
+        return np.zeros(n), [], True
+    scores = 0.6745 * (residual - med) / mad
+    return scores, [int(m) for m in months[np.abs(scores) > threshold]], False
+
+
+def test_rolling_median_matches_the_per_quote_loop(quotes):
+    """The one-call rolling median scores every ladder as the per-quote loop
+    does, to the bit: short ladders (n < window) and one-quote ladders
+    included, and ties that collapse the MAD."""
+    rng = np.random.default_rng(7)
+    ladders = [quotes]
+    for _ in range(120):
+        n = int(rng.integers(1, 60))
+        vols = rng.lognormal(np.log(80.0), 0.3, n)
+        if rng.random() < 0.25:
+            vols = np.round(vols / 10.0) * 10.0  # ties
+        ladders.append(cs.CapQuoteSet(np.arange(2, n + 2), vols * 1e-4))
+    degenerate = 0
+    for ladder in ladders:
+        for window in (1, 3, 5, 7):
+            report = cs.detect_outliers(ladder, window=window, threshold=2.0)
+            scores, flagged, flat = _looped_outlier_scores(
+                ladder.flat_vols, window, 2.0, ladder.maturities_months
+            )
+            assert report.scores.tobytes() == scores.tobytes()
+            assert (report.flagged, report.degenerate) == (flagged, flat)
+            degenerate += flat
+    assert 0 < degenerate < 4 * len(ladders)
+
+
 def test_outlier_parameter_validation(quotes):
     with pytest.raises(cs.InputError):
         cs.detect_outliers(quotes, window=4)

@@ -280,6 +280,50 @@ def test_hyman_line_reads_the_prefix_curve_basis(schedule, quotes, clean_quotes,
 
 
 @pytest.mark.parametrize("ladder", ["raw", "clean"])
+def test_hyman_bootstrap_grows_one_slope_map(
+    monkeypatch, schedule, quotes, clean_quotes, ladder
+):
+    """The hyman bootstrap carries the slope map of its solved nodes from
+    node to node, adding one slope row per node on at most three nodes. So
+    the one hyman_slopes call over more than three nodes is the final
+    curve's, and each node past the second makes one call besides its
+    line's. The grown map is the prefix's own, to the bit."""
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    nodes = len(ladder_quotes)
+    calls = []
+    for owner in (cs.stripping, cs.vol_interpolation):
+
+        def counted(x, f, owner=owner, slopes=hyman_slopes):
+            calls.append((owner.__name__, len(x)))
+            return slopes(x, f)
+
+        monkeypatch.setattr(owner, "hyman_slopes", counted)
+    line_calls = []
+
+    def counted_line(*args, build=cs.stripping._hyman_line):
+        line, start = build(*args)
+
+        def counted(*line_args):
+            line_calls.append(len(args[3]))
+            return line(*line_args)
+
+        return counted, start
+
+    monkeypatch.setattr(cs.stripping, "_hyman_line", counted_line)
+    result = cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="hyman"))
+    monkeypatch.undo()
+    assert [size for _, size in calls if size > 3] == [nodes]
+    assert calls[-1] == ("capstrip.vol_interpolation", nodes)
+    assert len(calls) == (nodes - 2) + len(line_calls) + 1
+    assert len(calls) < 60
+    known_map = np.zeros((0, 0))
+    for q in range(1, nodes + 1):
+        known = result.node_values[:q]
+        known_map = cs.stripping._grow_slope_map(known_map, result.node_times, known)
+        assert known_map.tobytes() == hyman_slopes(result.node_times[:q], known)[1].tobytes(), q
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
 def test_global_start_bootstraps_the_nodes_alone(
     monkeypatch, schedule, quotes, clean_quotes, ladder
 ):
