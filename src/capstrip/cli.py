@@ -28,6 +28,7 @@ and the quote ladder has arbitrage violations; 1 for any input problem.
 
 import dataclasses
 import decimal
+import functools
 import json
 import sys
 from pathlib import Path
@@ -184,17 +185,22 @@ def _word(text):
     return np.frombuffer(text.encode("ascii").rjust(4, b"\0"), np.uint32)[0]
 
 
+@functools.cache
 def _digit_words():
     """Words for 4-digit groups: 0..9999 as "0000".."9999", then
-    10000 + k as k without its leading zeros ("0" for 0), then 20000, all NUL."""
-    places = np.array([1000, 100, 10, 1])
-    digits = np.arange(10_000)[:, None] // places % 10 + ord("0")
-    leading = np.where((np.arange(10_000)[:, None] < places) & (places > 1), 0, digits)
-    table = np.concatenate((digits, leading, np.zeros((1, 4), int)))
-    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint32).ravel()
+    10000 + k as k without its leading zeros ("0" for 0), then 20000, all
+    NUL. Built on first use, read-only."""
+    group = np.arange(10_000, dtype=np.uint16)[:, None]
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = (group // places % 10 + ord("0")).astype(np.uint8)
+    table = np.zeros((20_001, 4), np.uint8)
+    table[:10_000] = digits
+    table[10_000:20_000] = np.where((group < places) & (places > 1), 0, digits)
+    words = table.view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
 
 
-_DIGIT_WORDS = _digit_words()
 _MINUS, _POINT, _COMMA, _NEWLINE = _word("-"), _word("."), _word(",\0\0\0"), _word("\n\0\0\0")
 _BP_STEP = decimal.Decimal("1e-4")
 _BLOCK_ROWS = 2048
@@ -209,17 +215,18 @@ def _fixed_words(n, decimals, negative):
     frac_words = -(-decimals // 4)
     point_word = decimals > 0 and decimals % 4 == 0
     words = np.empty((len(n), 1 + int_words + point_word + frac_words), np.uint32)
+    digit_words = _digit_words()
     words[:, 0] = np.where(negative, _MINUS, 0)
     for j in range(int_words):
         # the leading group prints without its zeros, and groups above it not at all
         group = whole // 10 ** (4 * j) % 10_000 + 10_000 * (whole < 10 ** (4 * j + 4))
         if j:
             group[whole < 10 ** (4 * j)] = 20_000
-        words[:, int_words - j] = _DIGIT_WORDS[group]
+        words[:, int_words - j] = digit_words[group]
     if point_word:
         words[:, int_words + 1] = _POINT
     for j in range(frac_words):
-        words[:, -1 - j] = _DIGIT_WORDS[fraction // 10 ** (4 * j) % 10_000]
+        words[:, -1 - j] = digit_words[fraction // 10 ** (4 * j) % 10_000]
     if decimals % 4:
         # the top fraction word keeps its last decimals % 4 digits, after the point
         kept = decimals % 4
