@@ -18,9 +18,10 @@ column. A vol prints as the integer floor(|v| 1e4) + (fraction > 1/2):
 the product errs by at most half an ulp, so only values within 4 ulps of
 a half are in doubt, and those are rounded exactly, half to even, by
 decimal. The day column is the integer (2e6 d + 365) // 730, exact
-because 365 is odd. A column with a non-finite value, or one whose
-|v| 1e4 reaches 2**52 and so has no room for its digits in int64, is
-printed by `%` value by value.
+because 365 is odd. The writer works in blocks of 2,048 rows; a block
+whose vol column holds a non-finite value, or one whose |v| 1e4 reaches
+2**52 and so has no room for its digits in int64, prints that column by
+`%` value by value.
 
 Exit codes: 0 success; 2 when --strict is set, the outlier policy is off,
 and the quote ladder has arbitrage violations; 1 for any input problem.
