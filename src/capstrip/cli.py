@@ -14,7 +14,7 @@ full precision. Identical inputs produce byte-identical files.
 strip.csv and volcurve_daily.csv (one line per day, up to 36,500) are
 written by one vectorised fixed-point writer (_csv_rows), whose every
 cell is the text "%.4f" % v gives, or "%.6f" % (d / 365) for the day
-column. A vol prints as the integer floor(|v| 1e4) + (fraction > 1/2):
+column and round(t * 12) for the fixing months. A vol prints as the integer floor(|v| 1e4) + (fraction > 1/2):
 the product errs by at most half an ulp, so only values within 4 ulps of
 a half are in doubt, and those are rounded exactly, half to even, by
 decimal. The day column is the integer (2e6 d + 365) // 730, exact
