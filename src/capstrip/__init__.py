@@ -20,6 +20,7 @@ from .diagnostics import (
     cap_prices,
     decompose,
     detect_outliers,
+    isotonic_floor,
     remove_outliers,
 )
 from .stripping import (
@@ -60,6 +61,7 @@ __all__ = [
     "detect_outliers",
     "evaluated_curve",
     "implied_vol",
+    "isotonic_floor",
     "run_pipeline",
     "intrinsic_vector",
     "place_nodes",

@@ -121,7 +121,8 @@ def evaluated_curve(result, tenor_months=1):
 
     Node-based results rebuild the interpolated curve and apply the
     engine's VolMap (zero or positivity floor, or the exponential of the
-    log-curve under the exp transform). Time-value results have no curve
+    log-curve under the exp transform, rebuilt from the log-vols the
+    solver carried on the result). Time-value results have no curve
     between fixings, so they step through the solved vols.
     """
     if result.method == "tv":
@@ -135,10 +136,11 @@ def evaluated_curve(result, tenor_months=1):
         return step
     cfg = result.config
     vol_map = VolMap.of(cfg, result.method)
+    values = result.node_values if result.curve_values is None else result.curve_values
     curve = VolCurve(
         cfg.family,
         result.node_times,
-        vol_map.curve_values(result.node_values),
+        values,
         beta=cfg.beta,
         delta=tenor_months / 12.0,
     )
@@ -316,6 +318,8 @@ def _strip_json_text(result, config):
         "converged": result.converged,
         "iterations": result.iterations,
         "stop_reason": result.stop_reason,
+        "floor_cost": result.floor_cost,
+        "gap_to_floor": result.gap_to_floor,
         "quote_months": [int(m) for m in result.quote_months],
         "market_prices_bp": [float(p) for p in result.market_prices_bp],
         "residuals_bp": [float(r) for r in result.residuals_bp],

@@ -147,6 +147,34 @@ def decompose(schedule, quotes):
     )
 
 
+def isotonic_floor(time_values, prices):
+    """The least sum of squared relative price errors, ((model - P) / P)^2,
+    that any non-negative caplet vols reach on this ladder: the arbitrage
+    floor, 0 on a ladder without arbitrage.
+
+    Such vols price every caplet at or above its intrinsic value, so the
+    model's cap time values are non-negative and non-decreasing in
+    maturity, and each model price misses its market price P by its time
+    value's miss. The best such ladder is the weighted isotonic fit of the
+    time values, weights 1 / P^2, clipped at zero: pool adjacent
+    violators, each pool kept as (total weight, weighted mean, size). A
+    quote no pool merges keeps its own time value, so the floor of a
+    ladder without arbitrage is exactly 0.
+    """
+    prices = np.asarray(prices, dtype=float)
+    weights = 1.0 / prices**2
+    pools = []
+    for weight, value in zip(weights.tolist(), np.asarray(time_values, dtype=float).tolist()):
+        pools.append((weight, value, 1))
+        # merge while the last pool's mean falls below the one before it
+        while len(pools) > 1 and pools[-1][1] < pools[-2][1]:
+            (w1, m1, n1), (w0, m0, n0) = pools.pop(), pools.pop()
+            pools.append((w0 + w1, (w0 * m0 + w1 * m1) / (w0 + w1), n0 + n1))
+    fit = np.repeat([max(mean, 0.0) for _, mean, _ in pools], [n for *_, n in pools])
+    miss = (fit - time_values) / prices
+    return float(np.sum(miss * miss))
+
+
 @dataclass
 class OutlierReport:
     maturities_months: np.ndarray

@@ -14,6 +14,7 @@ the curve and reprices the result.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,10 +38,12 @@ BRACKET_START = 0.05  # 500 bp
 BRACKET_LIMIT = BRACKET_START * 2**11  # 1.024e6 bp: a node that underprices here clamps
 LOG_VOL_CAP = 3.0  # exp-mode curves are capped here before exponentiating
 PRICE_TOL_BP = 1e-10  # a quote is repriced when its residual is within this
+FLOOR_GAP = 1e-9  # the global solver stops within this share of the arbitrage floor
 NEWTON_MAX_ITER = 50  # bootstrap node steps; no shipped ladder's node takes 10
 NEWTON_TOL = 1e-6  # a relative Halley step this small leaves only round-off (its cube)
-# least_squares status -> the stop test that fired (4: ftol and xtol both)
-_STOP_TESTS = {0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
+# least_squares status -> the stop test that fired (4: ftol and xtol both; -2:
+# the callback's, which stops a repriced ladder too, but that one reads "priced")
+_STOP_TESTS = {-2: "floor", 0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
 
 
 def place_nodes(maturities_months, delta_months=1, placement="maturity"):
@@ -115,10 +118,26 @@ class StripResult:
     iterations: int = 0
     stop_reason: str = "priced"
     config: StripConfig = field(default_factory=StripConfig)
+    floor_cost: float = 0.0  # the ladder's arbitrage floor (diagnostics.isotonic_floor)
+    # under positivity 'exp', the log-vols the curve interpolates, as solved;
+    # node_values are their capped exponentials
+    curve_values: np.ndarray = None
 
     @property
     def max_abs_residual_bp(self):
         return float(np.max(np.abs(self.residuals_bp)))
+
+    @property
+    def cost(self):
+        """The global objective: the sum of squared relative price errors."""
+        relative = self.residuals_bp / self.market_prices_bp
+        return float(relative @ relative)
+
+    @property
+    def gap_to_floor(self):
+        """cost - floor_cost: how far the fit is from the best any
+        non-negative vols reach; at least 0 up to round-off."""
+        return self.cost - self.floor_cost
 
     @property
     def max_rel_error(self):
@@ -138,7 +157,8 @@ class Ladder:
 
     counts[q] is cap q's caplet count and market its price at its flat vol
     (diagnostics.cap_prices). times are the longest cap's fixings, table its
-    CapletTable, and delta the caplet accrual in years.
+    CapletTable, and delta the caplet accrual in years. floor_cost is the
+    least cost any non-negative vols reach (diagnostics.isotonic_floor).
     """
 
     def __init__(self, schedule, quotes):
@@ -162,6 +182,15 @@ class Ladder:
         cumulative = np.concatenate(([0.0], np.cumsum(caplet_prices)))
         return cumulative[self.counts]
 
+    @cached_property
+    def floor_cost(self):
+        time_values = self.market - self.cap_sums(self.table.intrinsic)
+        return diagnostics.isotonic_floor(time_values, self.market)
+
+    def residuals_bp(self, model):
+        """Model minus market cap prices, in bp."""
+        return (model - self.market) * 1e4
+
     def result(self, method, taus, values, caplet_vols, config, **kw):
         """The StripResult of these caplet vols, repriced against the market."""
         model = self.cap_sums(self.table.price(caplet_vols))
@@ -169,12 +198,13 @@ class Ladder:
             method=method,
             quote_months=self.quotes.maturities_months.copy(),
             market_prices_bp=self.market * 1e4,
-            residuals_bp=(model - self.market) * 1e4,
+            residuals_bp=self.residuals_bp(model),
             node_times=taus,
             node_values=np.asarray(values, dtype=float),
             caplet_times=self.times,
             caplet_vols=caplet_vols,
             config=config,
+            floor_cost=self.floor_cost,
             **kw,
         )
 
@@ -213,10 +243,6 @@ class VolMap:
         if self.log:
             return vols * (curve < LOG_VOL_CAP)
         return (curve > self.floor).astype(float)
-
-    def curve_values(self, node_values):
-        """The curve's node values behind reported node values (vols)."""
-        return np.log(node_values) if self.log else np.asarray(node_values, dtype=float)
 
 
 class CurveBasis:
@@ -533,8 +559,13 @@ def strip_global(schedule, quotes, config=None):
     values. Positivity modes: 'none' (free nodes), 'exp' (nodes
     parameterised as exponentials), 'nonneg' and 'floor' (the nodes bounded
     below at zero or at floor_bp; the evaluated curve is floored there too).
+    Two certificates stop the solver early: an iterate that reprices every
+    quote within PRICE_TOL_BP, and one whose cost is within FLOOR_GAP
+    (relative) of the ladder's arbitrage floor, the least cost any
+    non-negative vols reach, so that no further step can gain more.
     iterations counts residual evaluations, at most max_iter; stop_reason
-    is 'priced' when the ladder reprices, else the stop test that fired.
+    is 'priced' when the ladder reprices, 'floor' at the floor, else the
+    stop test that fired.
     """
     config = config or StripConfig()
     ladder = Ladder(schedule, quotes)
@@ -552,24 +583,40 @@ def strip_global(schedule, quotes, config=None):
     x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)
 
     last = {}
+    floor = ladder.floor_cost
 
     def residuals(x):
         last["x"], last["point"] = x.copy(), core.evaluate(x)
         return (last["point"].cap_prices - market) / market
 
+    def evaluated(x):
+        # the Jacobian and each iterate the callback sees are at the point
+        # evaluated last, unless the solver's last trial step was rejected
+        return last["point"] if np.array_equal(x, last["x"]) else core.evaluate(x)
+
     def jacobian(x):
-        # the solver asks for the Jacobian at the point it evaluated last
-        point = last["point"] if np.array_equal(x, last["x"]) else core.evaluate(x)
-        return core.jacobian(point) / market[:, None]
+        return core.jacobian(evaluated(x)) / market[:, None]
+
+    def certify(intermediate_result):
+        # scipy passes the iterate's OptimizeResult to a parameter of this name
+        if floor > 0.0 and 2.0 * intermediate_result.cost <= floor * (1.0 + FLOOR_GAP):
+            raise StopIteration
+        # Ladder.result's repricing test, on the same prices
+        model = evaluated(intermediate_result.x).cap_prices
+        if np.max(np.abs(ladder.residuals_bp(model))) <= PRICE_TOL_BP:
+            raise StopIteration
 
     # tolerances near round-off: the stop tests fire only once the fit stalls
     fit = least_squares(
         residuals, x0, jac=jacobian, bounds=(lower, np.inf), method="trf", x_scale="jac",
-        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=config.max_iter,
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=config.max_iter, callback=certify,
     )
-    vols = core.evaluate(fit.x).vols
+    vols = evaluated(fit.x).vols
     values = vol_map(fit.x) if vol_map.log else fit.x
-    result = ladder.result("global", taus, values, vols, config, iterations=fit.nfev)
+    result = ladder.result(
+        "global", taus, values, vols, config, iterations=fit.nfev,
+        curve_values=fit.x if vol_map.log else None,
+    )
     # whichever test stopped the solver, only a repriced ladder has converged
     result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
     result.stop_reason = "priced" if result.converged else _STOP_TESTS[fit.status]

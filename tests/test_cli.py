@@ -94,6 +94,9 @@ def test_strip_json_reports_the_run(run_dir):
     assert max(abs(r) for r in payload["residuals_bp"]) < 1e-9
     assert payload["config"]["family"] == "flat"
     assert payload["config"]["far_quote_vol_bp"] is None  # NaN must not leak into JSON
+    # a ladder without arbitrage has a zero floor, and its gap is the cost
+    assert payload["floor_cost"] == 0.0
+    assert 0.0 <= payload["gap_to_floor"] < 1e-20
 
 
 def test_daily_curve_follows_the_node_steps(run_dir):
@@ -125,6 +128,17 @@ def test_report_policy_keeps_flagged_quotes(tmp_path):
     assert payload["clamped_months"] == [4, 5, 6, 24]
     assert payload["converged"] is False
     assert payload["stop_reason"] == "clamped"
+    assert payload["floor_cost"] == pytest.approx(3.157460106544535e-5, rel=1e-12)
+    assert payload["gap_to_floor"] > 0.0
+
+
+def test_global_run_states_its_floor_stop(tmp_path):
+    args = ["run", *_market_args(), "--method", "global", "--family", "linear", "--nodes", "mid"]
+    assert _invoke([*args, "--out", str(tmp_path)]).exit_code == 0
+    payload = json.loads((tmp_path / "strip.json").read_text())
+    assert payload["stop_reason"] == "floor"
+    assert payload["converged"] is False
+    assert 0.0 <= payload["gap_to_floor"] <= 1e-9 * payload["floor_cost"]
 
 
 def test_strict_mode_stops_on_violations(tmp_path):
@@ -524,8 +538,10 @@ def test_strip_csv_text_matches_the_per_line_format(tenor_months):
 def test_fixture_curves_print_as_the_format_does(ladder):
     """strip.csv and volcurve_daily.csv equal the `%` text for tv, for every
     family through the bootstrap at maturity and the global solver at
-    midpoints, and for the raw quintic exp mid fit, whose daily curve holds
-    nan (the `%` column) and whose free mid fit peaks near 1.09e7 bp."""
+    midpoints, and for the quintic exp mid fit. On the raw ladder that fit
+    ends with a node vol that underflows to 0, yet its daily curve, rebuilt
+    from the solved log-vols, stays finite; the free quintic mid fit peaks
+    near 1.09e7 bp."""
     forward = ZeroCurve.from_csv(DATA / "libor1m_zero_curve.csv")
     discount = ZeroCurve.from_csv(DATA / "ois_zero_curve.csv")
     quotes = CapQuoteSet.from_csv(DATA / "cap_quotes.csv")
@@ -538,13 +554,12 @@ def test_fixture_curves_print_as_the_format_does(ladder):
     runs += [(strip_global, StripConfig(family="quintic", placement="mid", positivity="exp"))]
     peaks = []
     for engine, config in runs:
-        # the raw exp fit ends with a node at exactly 0, whose log is -inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = engine(schedule, quotes, config)
-            daily = _daily_curve_text(result, 1)
-            assert daily == _daily_curve_oracle(result, 1), config
+        result = engine(schedule, quotes, config)
+        daily = _daily_curve_text(result, 1)
+        assert daily == _daily_curve_oracle(result, 1), config
         assert _strip_csv_text(result) == _strip_csv_oracle(result), config
-        peaks.append(max(abs(float(line.split(",")[1])) for line in daily.splitlines()[1:]))
+        vols_bp = [float(line.split(",")[1]) for line in daily.splitlines()[1:]]
+        assert all(map(math.isfinite, vols_bp)), config
+        peaks.append(max(map(abs, vols_bp)))
     if ladder == "raw":
-        assert "nan" in daily
         assert max(peaks[:-1]) > 1e7

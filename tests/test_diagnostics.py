@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
 import capstrip as cs
 
@@ -164,3 +167,28 @@ def test_cap_prices_match_the_per_quote_loop(schedule, quotes, forward_curve, di
     prices = cs.cap_prices(quarterly, ladder)
     assert np.all(prices > 0.0)
     assert np.array_equal(prices, _per_quote_prices(quarterly, ladder))
+
+
+# a quote: its time value's change from the previous quote (falls included)
+# and its price, both in bp
+_INCREMENTS_AND_PRICES = st.lists(
+    st.tuples(st.floats(-20.0, 40.0), st.floats(1.0, 500.0)), min_size=1, max_size=30
+)
+
+
+@given(_INCREMENTS_AND_PRICES)
+@settings(max_examples=60, deadline=None)
+def test_isotonic_floor_is_the_best_non_negative_increments(quotes):
+    """The floor against an independent oracle: bounded least squares on
+    non-negative cumulative increments, each miss relative to its price."""
+    increments_bp, prices_bp = (np.array(column) for column in zip(*quotes))
+    time_values, prices = np.cumsum(increments_bp) * 1e-4, prices_bp * 1e-4
+    cumulative = np.tril(np.ones((len(prices), len(prices))))
+    oracle = lsq_linear(
+        cumulative / prices[:, None], time_values / prices, bounds=(0.0, np.inf),
+        method="bvls", tol=1e-14,
+    )
+    floor = cs.isotonic_floor(time_values, prices)
+    assert floor == pytest.approx(2.0 * oracle.cost, rel=1e-10, abs=1e-24)
+    if np.all(np.diff(time_values, prepend=0.0) >= 0.0):
+        assert floor == 0.0

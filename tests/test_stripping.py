@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 import capstrip as cs
 from capstrip.cli import _STANDARD_ROWS, compare_methods
-from capstrip.stripping import CurveBasis, EvaluationCore, Ladder, VolMap
+from capstrip.stripping import FLOOR_GAP, PRICE_TOL_BP, CurveBasis, EvaluationCore, Ladder, VolMap
 from capstrip.vol_interpolation import basis_matrix, hermite_basis, hyman_slopes
 
 
@@ -800,12 +800,6 @@ def test_floor_applies_to_the_evaluated_curve(schedule, quotes):
     assert min_node_bp == pytest.approx(10.0, abs=1e-9)
 
 
-def _cost(result):
-    """The global objective: the sum of squared relative price errors."""
-    relative = result.residuals_bp / result.market_prices_bp
-    return float(relative @ relative)
-
-
 def test_floor_reports_the_solved_residuals(schedule, quotes):
     # the nodes are bounded at the floor while solving; raising them to it
     # afterwards would reprice a different curve
@@ -819,7 +813,7 @@ def test_unconstrained_mid_families_reach_one_optimum(schedule, quotes):
     # on the raw ladder the best fit of every family is the same
     # non-decreasing time-value ladder; each family must get there
     costs = [
-        _cost(cs.strip_global(schedule, quotes, cs.StripConfig(family=family, placement="mid")))
+        cs.strip_global(schedule, quotes, cs.StripConfig(family=family, placement="mid")).cost
         for family in ("linear", "cubic", "hyman")
     ]
     assert max(costs) <= min(costs) * (1.0 + 1e-6)
@@ -831,3 +825,60 @@ def test_max_iter_bounds_the_residual_evaluations(schedule, quotes):
     assert result.iterations <= 5
     assert not result.converged
     assert result.stop_reason == "max_nfev"
+
+
+GRID_FAMILIES = ("flat", "flat-smooth", "linear", "cubic", "hyman")
+GRID_POSITIVITY = ("none", "nonneg", "exp", "floor")
+
+
+@pytest.fixture(scope="module")
+def global_grid(schedule, quotes, clean_quotes):
+    """Every family x positivity global row at mid nodes, floors at 10 bp,
+    on both fixture ladders, keyed by (ladder, family, positivity)."""
+    return {
+        (ladder, family, positivity): cs.strip_global(
+            schedule, chosen,
+            cs.StripConfig(family=family, placement="mid", positivity=positivity, floor_bp=10.0),
+        )
+        for ladder, chosen in (("raw", quotes), ("clean", clean_quotes))
+        for family in GRID_FAMILIES
+        for positivity in GRID_POSITIVITY
+    }
+
+
+def test_arbitrage_floor_of_the_fixture_ladders(schedule, quotes, clean_quotes):
+    assert Ladder(schedule, quotes).floor_cost == pytest.approx(3.157460106544535e-5, rel=1e-12)
+    assert Ladder(schedule, clean_quotes).floor_cost == 0.0
+
+
+def test_floor_bounds_every_global_row(schedule, quotes, clean_quotes, global_grid):
+    floors = {"raw": Ladder(schedule, quotes).floor_cost, "clean": 0.0}
+    for (ladder, *_), result in global_grid.items():
+        assert result.floor_cost == floors[ladder]
+        assert result.gap_to_floor >= -1e-12 * result.floor_cost, result.config
+
+
+def test_floor_stops_are_within_the_gap(global_grid):
+    stops = [result for result in global_grid.values() if result.stop_reason == "floor"]
+    assert len(stops) >= 6
+    for result in stops:
+        assert not result.converged
+        assert result.gap_to_floor <= FLOOR_GAP * result.floor_cost, result.config
+
+
+@pytest.mark.parametrize(
+    "family,positivity,evaluations",
+    # the residual evaluations each row took before it could stop at the floor
+    [("linear", "none", 63), ("cubic", "none", 139), ("hyman", "none", 41),
+     ("linear", "exp", 32), ("cubic", "exp", 37)],
+)
+def test_raw_rows_stop_at_the_floor_sooner(global_grid, family, positivity, evaluations):
+    result = global_grid["raw", family, positivity]
+    assert result.stop_reason == "floor"
+    assert result.iterations < evaluations
+
+
+def test_priced_exactly_when_converged(global_grid):
+    for result in global_grid.values():
+        assert (result.stop_reason == "priced") == result.converged, result.config
+        assert result.converged == (result.max_abs_residual_bp <= PRICE_TOL_BP), result.config
