@@ -309,6 +309,11 @@ def _strip_csv_text(result):
     )
 
 
+def _json_number(value):
+    """value, or None where it is nan: strict JSON has no nan."""
+    return None if np.isnan(value) else value
+
+
 def _strip_json_text(result, config):
     config_echo = dataclasses.asdict(config)
     if np.isnan(config_echo["far_quote_vol_bp"]):
@@ -318,8 +323,8 @@ def _strip_json_text(result, config):
         "converged": result.converged,
         "iterations": result.iterations,
         "stop_reason": result.stop_reason,
-        "floor_cost": result.floor_cost,
-        "gap_to_floor": result.gap_to_floor,
+        "floor_cost": _json_number(result.floor_cost),
+        "gap_to_floor": _json_number(result.gap_to_floor),
         "quote_months": [int(m) for m in result.quote_months],
         "market_prices_bp": [float(p) for p in result.market_prices_bp],
         "residuals_bp": [float(r) for r in result.residuals_bp],

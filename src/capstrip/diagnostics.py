@@ -150,7 +150,8 @@ def decompose(schedule, quotes):
 def isotonic_floor(time_values, prices):
     """The least sum of squared relative price errors, ((model - P) / P)^2,
     that any non-negative caplet vols reach on this ladder: the arbitrage
-    floor, 0 on a ladder without arbitrage.
+    floor, 0 on a ladder without arbitrage, and nan when a price is 0,
+    which has no relative error.
 
     Such vols price every caplet at or above its intrinsic value, so the
     model's cap time values are non-negative and non-decreasing in
@@ -162,6 +163,8 @@ def isotonic_floor(time_values, prices):
     ladder without arbitrage is exactly 0.
     """
     prices = np.asarray(prices, dtype=float)
+    if not np.all(prices > 0.0):
+        return np.nan
     weights = 1.0 / prices**2
     pools = []
     for weight, value in zip(weights.tolist(), np.asarray(time_values, dtype=float).tolist()):

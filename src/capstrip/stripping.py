@@ -136,8 +136,9 @@ class StripResult:
     @property
     def gap_to_floor(self):
         """cost - floor_cost: how far the fit is from the best any
-        non-negative vols reach; at least 0 up to round-off."""
-        return self.cost - self.floor_cost
+        non-negative vols reach; at least 0 up to round-off, and nan where
+        the floor is (a quote priced at 0)."""
+        return self.cost - self.floor_cost if math.isfinite(self.floor_cost) else math.nan
 
     @property
     def max_rel_error(self):

@@ -357,6 +357,25 @@ def test_non_finite_or_negative_quotes_are_rejected(tmp_path, bad_row):
     _assert_rejected(result, out)
 
 
+@pytest.mark.parametrize("method", ["tv", "bootstrap"])
+def test_quotes_priced_at_zero_write_no_floor(tmp_path, method):
+    """Zero flat vols far out of the money price caps at 0, which have no
+    relative error: the floor and the gap are written as null."""
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text("maturity_months,flat_vol_bp\n12,0\n24,0\n36,1\n")
+    out = tmp_path / "out"
+    result = _invoke([
+        "run",
+        "--projection-curve", str(DATA / "libor1m_zero_curve.csv"),
+        "--discount-curve", str(DATA / "ois_zero_curve.csv"),
+        "--quotes", str(quotes), "--strike-bp", "1000", "--method", method,
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((out / "strip.json").read_text())
+    assert payload["floor_cost"] is None and payload["gap_to_floor"] is None
+
+
 def test_non_finite_curve_rate_is_rejected(tmp_path):
     rows = (DATA / "libor1m_zero_curve.csv").read_text().splitlines()
     rows = ["12,nan" if row.startswith("12,") else row for row in rows]
