@@ -68,8 +68,9 @@ class CapletTable:
     Holds B*delta, |F - K|, max(F - K, 0), sqrt(t), B*delta*sqrt(t), the
     at-the-money mask (F == K) and the intrinsic B*delta*max(F - K, 0). The
     kernels price, vega, price_vega and price_greeks each take one vector
-    of vols and make one pass over the table; price_vector, vega_vector
-    and price_greeks_vector are these kernels on a fresh table, to the bit.
+    of vols and make one pass over the table; price_vector and vega_vector
+    are the first two on a fresh table, to the bit, and every kernel's
+    prices and vegas are theirs.
     A pass whose s = vol * sqrt(t) are all positive normal floats, the
     common case, runs without masks; one zero, negative, subnormal or NaN
     s sends the whole pass down the masked path, which gives the same
@@ -169,14 +170,6 @@ def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
     At zero vol this is the one-sided limit: the ATM value, zero elsewhere.
     """
     return CapletTable(forwards, strike, expiries, accruals, discounts).vega(vols)
-
-
-def price_greeks_vector(forwards, strike, expiries, accruals, discounts, vols):
-    """Prices, vegas and vommas in one pass, for non-negative vols.
-
-    The prices and vegas are price_vector's and vega_vector's, to the bit.
-    """
-    return CapletTable(forwards, strike, expiries, accruals, discounts).price_greeks(vols)
 
 
 def intrinsic_vector(forwards, strike, accruals, discounts):

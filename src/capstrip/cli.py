@@ -5,7 +5,8 @@ A run writes up to five artifacts under the output directory:
   diagnostics.csv     price / intrinsic / time-value ladder with violation flags
   outliers.csv        modified Z-scores (skipped when the outlier policy is off)
   strip.csv           caplet vols by fixing month
-  strip.json          nodes, residuals, removed quotes, and the config echo
+  strip.json          nodes (and under exp their log-vols), residuals, removed
+                      quotes, and the config echo
   volcurve_daily.csv  the evaluated vol curve sampled daily, for plotting
 
 Bp quantities in CSV output carry 4 decimal places; the JSON sidecar keeps
@@ -332,6 +333,10 @@ def _strip_json_text(result, config):
         "clamped_months": [int(m) for m in result.clamped_months],
         "node_times_years": [float(t) for t in result.node_times],
         "node_values_bp": [float(v) * 1e4 for v in result.node_values],
+        # under exp, the log-vols the curve interpolates, as solved
+        "node_log_vols": (
+            None if result.curve_values is None else [float(v) for v in result.curve_values]
+        ),
         "config": config_echo,
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

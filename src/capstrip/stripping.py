@@ -18,6 +18,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
+
 # brentq is not called here; perfbench/spans.py wraps stripping.brentq by name
 from scipy.optimize import brentq, least_squares  # noqa: F401
 
@@ -41,6 +43,7 @@ PRICE_TOL_BP = 1e-10  # a quote is repriced when its residual is within this
 FLOOR_GAP = 1e-9  # the global solver stops within this share of the arbitrage floor
 NEWTON_MAX_ITER = 50  # bootstrap node steps; no shipped ladder's node takes 10
 NEWTON_TOL = 1e-6  # a relative Halley step this small leaves only round-off (its cube)
+LADDER_TOL = 1e-8  # a relative Newton step this small leaves only round-off (its square)
 # least_squares status -> the stop test that fired (4: ftol and xtol both; -2:
 # the callback's, which stops a repriced ladder too, but that one reads "priced")
 _STOP_TESTS = {-2: "floor", 0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
@@ -142,7 +145,10 @@ class StripResult:
 
     @property
     def max_rel_error(self):
-        return float(np.max(np.abs(self.residuals_bp / self.market_prices_bp)))
+        """The largest |residual| / price: inf or nan where a quote priced at 0 is
+        missed or met."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.max(np.abs(self.residuals_bp / self.market_prices_bp)))
 
     @property
     def min_caplet_vol_bp(self):
@@ -313,6 +319,47 @@ class EvaluationCore:
         return np.cumsum(weights[:, None] * point.matrix, axis=0)[self.ladder.counts - 1]
 
 
+class _Bracket:
+    """One node's safeguards: the sign bracket [lo, up] of its root and the zero test.
+
+    Each residual's sign narrows the bracket. A candidate off its left end
+    tests zero vol next if that is untested, else bisects; one past up
+    bisects. No iterate goes past BRACKET_LIMIT: a step beyond it, or a
+    bisection while up is unset, stops there.
+    """
+
+    def __init__(self):
+        self.lo, self.up, self.zero_tested = 0.0, math.inf, False
+
+    def settle(self, x, residual):
+        """(value, clamped) when the node settles at x, else None.
+
+        It clamps at 0 when zero vol overprices and at BRACKET_LIMIT when
+        that still underprices; a zero residual is a root.
+        """
+        self.zero_tested = self.zero_tested or x == 0.0
+        if residual >= 0.0:
+            if x == 0.0:
+                return 0.0, True
+            self.up = x
+        else:
+            if x == BRACKET_LIMIT:
+                return x, True
+            self.lo = x
+        if residual == 0.0:
+            return x, False
+        return None
+
+    def keep(self, candidate):
+        """The next iterate: candidate, unless it leaves the bracket."""
+        if candidate <= self.lo:
+            # zero vol is the one point left of the bracket still to test
+            candidate = 0.5 * (self.lo + self.up) if self.zero_tested else 0.0
+        elif candidate >= self.up:
+            candidate = 0.5 * (self.lo + self.up)
+        return min(candidate, BRACKET_LIMIT)
+
+
 def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
                  zero_first=False):
     """A bootstrap node on the curve fixed + x * column, by safeguarded Newton.
@@ -325,20 +372,16 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
     moving caplets at each later iterate. Each step is Newton's on the
     exact slope sum(vega * column * dvol/dcurve), with Halley's correction
     from the exact curvature sum(vomma * column^2 * dvol/dcurve) (the zero
-    floor is linear off its kink). Each residual's sign narrows the
-    bracket [lo, up]. A step off the bracket's left end, and an iterate
-    whose slope is not positive, test zero vol next if it is untested,
-    else bisect; a step past up bisects. No iterate goes past
-    BRACKET_LIMIT: a step beyond it, or a bisection while up is unset,
-    stops there. The node clamps at 0 when zero vol already overprices
-    the cap: seen at once when the moving caplets' intrinsic does, else
-    when an iterate reaches zero, or first of all with zero_first (then
-    the second iterate is start). It clamps at BRACKET_LIMIT when that
-    still underprices.
+    floor is linear off its kink), kept in the node's _Bracket; an iterate
+    whose slope is not positive moves as a step off the bracket's left end.
+    The node clamps at 0 when zero vol already overprices the cap: seen at
+    once when the moving caplets' intrinsic does, else when an iterate
+    reaches zero, or first of all with zero_first (then the second iterate
+    is start). It clamps at BRACKET_LIMIT when that still underprices.
     """
     held, moving = split
     offset = -target
-    lo, up, zero_tested = 0.0, math.inf, False
+    bracket = _Bracket()
     start = min(start, BRACKET_LIMIT)
     x = 0.0 if zero_first else start
     first = True
@@ -360,23 +403,15 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
             if offset + table.intrinsic.sum() >= 0:
                 return 0.0, True
         residual = offset + prices.sum()
-        zero_tested = zero_tested or x == 0.0
-        if residual >= 0.0:
-            if x == 0.0:
-                return 0.0, True
-            up = x
-        else:
-            if x == BRACKET_LIMIT:
-                return x, True
-            lo = x
-        if residual == 0.0:
-            return x, False
+        settled = bracket.settle(x, residual)
+        if settled is not None:
+            return settled
         if zero_first:
             zero_first, x = False, start
             continue
         weights = vol_map.slope(curve, vols) * column
         slope = vegas @ weights
-        candidate = lo  # where the slope is not positive, move as a step off the left end
+        candidate = bracket.lo
         if slope > 0.0:
             newton = residual / slope
             halley = 1.0 - 0.5 * newton * (vommas @ (weights * column)) / slope
@@ -384,12 +419,7 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
             candidate = x - step
             if abs(step) <= NEWTON_TOL * x:
                 return candidate, False
-        if candidate <= lo:
-            # zero vol is the one point left of the bracket still to test
-            candidate = 0.5 * (lo + up) if zero_tested else 0.0
-        elif candidate >= up:
-            candidate = 0.5 * (lo + up)
-        x = min(candidate, BRACKET_LIMIT)
+        x = bracket.keep(candidate)
     # not reached by any shipped ladder: the last iterate, whose miss the
     # cap's residual records
     return x, False
@@ -405,6 +435,149 @@ def _split_rows(moving):
     if rows.size and rows[0] + rows.size == moving.size:
         return slice(rows[0]), slice(rows[0], None)
     return ~moving, moving
+
+
+class _LocalSystem:
+    """A local family's bootstrap equations G_q(v_0..v_q) = market_q, every cap at once.
+
+    Cap q is priced on the curve through nodes 0..q: the ladder's curve
+    with every later node tied to node q. Its fixings before heads[q]
+    read no later node, so there that curve is the ladder's own, W @ v.
+    Its fixings from heads[q] on (midpoint nodes reach back into them)
+    are priced again as tail rows, on W's columns 0..q-1 and the sum of
+    its columns from q on. matrix stacks W over the tail rows, and table
+    prices them. Node q moves cap q's fixings from moves[q] on. G is lower
+    triangular in v, and each of its rows rises with its own node.
+    """
+
+    def __init__(self, ladder, family, taus, beta, vol_map):
+        weights = basis_matrix(family, taus, ladder.times, beta, ladder.delta)
+        counts, self.rows, n = ladder.counts, ladder.counts[-1], len(taus)
+        # the last node each fixing reads, which never falls along the fixings
+        reach = n - 1 - np.argmax(weights[:, ::-1] != 0.0, axis=1)
+        nodes = np.arange(n)
+        self.moves = np.minimum(np.searchsorted(reach, nodes, side="left"), counts)
+        self.heads = np.minimum(np.searchsorted(reach, nodes, side="right"), counts)
+        intrinsic = _running_sums(ladder.table.intrinsic)
+        self.moving_intrinsic = intrinsic[counts] - intrinsic[self.moves]
+        sizes = counts - self.heads
+        self.ends = np.cumsum(sizes)
+        self.begins = self.ends - sizes
+        self.vol_map = vol_map
+        if not self.ends[-1]:
+            self.matrix, self.table = weights, ladder.table
+            return
+        tail_rows = np.concatenate([np.arange(h, c) for h, c in zip(self.heads, counts)])
+        owner = np.repeat(nodes, sizes)
+        tied = np.cumsum(weights[tail_rows, ::-1], axis=1)[:, ::-1]
+        tail = weights[tail_rows] * (nodes < owner[:, None])
+        tail[np.arange(len(owner)), owner] = tied[np.arange(len(owner)), owner]
+        self.matrix = np.vstack((weights, tail))
+        self.table = ladder.table[np.concatenate((np.arange(self.rows), tail_rows))]
+
+    def _sums(self, caplet_values):
+        """(each cap's sum of caplet_values over its own rows, the running
+        sums over W's rows from 0), for caplet values along axis 0."""
+        running = _running_sums(caplet_values[: self.rows])
+        sums = running[self.heads]
+        if self.ends[-1]:
+            tail = _running_sums(caplet_values[self.rows :])
+            sums += tail[self.ends] - tail[self.begins]
+        return sums, running
+
+    def evaluate(self, values):
+        """(G(v), least, dG/dv) in one price_vega pass.
+
+        least[q] is the least price node q can give cap q: no vol prices
+        below intrinsic. The Jacobian is exact off the zero floor's kink,
+        in EvaluationCore.jacobian's cumulative-sum form.
+        """
+        curve = self.matrix @ values
+        vols = self.vol_map(curve)
+        prices, vegas = self.table.price_vega(vols)
+        model, running = self._sums(prices)
+        least = running[self.moves] + self.moving_intrinsic
+        weights = vegas * self.vol_map.slope(curve, vols)
+        return model, least, self._sums(weights[:, None] * self.matrix)[0]
+
+
+def _running_sums(values):
+    """Sums of values' first k rows, for k = 0 .. len(values)."""
+    return np.concatenate((np.zeros((1,) + values.shape[1:]), np.cumsum(values, axis=0)))
+
+
+def _solve_local(system, market, starts):
+    """Every node of a _LocalSystem by Newton on the whole ladder: (values, clamped).
+
+    Each pass evaluates G and its Jacobian once and steps the unsettled
+    nodes by one triangular solve. Nodes settle in order. The lead, the
+    first unsettled node, has its earlier nodes settled at the values
+    evaluated, so its residual is its own 1-D problem's: it steps in its
+    _Bracket and settles as a node solve does, at 0 when no vol underprices
+    its cap (least), at a clamp of the bracket, at a root, or after
+    NEWTON_MAX_ITER passes; a lead that settles where it stands passes the
+    lead on within the pass. Once the lead settles, each next node whose
+    step is within LADDER_TOL settles too: its residual is predicted to
+    first order from the earlier steps. Other nodes take their Newton step,
+    cut to [0, BRACKET_LIMIT], or hold where their slope is not positive.
+    """
+    n = len(market)
+    values = np.minimum(starts, BRACKET_LIMIT)
+    clamped = []
+    lead, bracket, lead_passes = 0, _Bracket(), 0
+    while lead < n:
+        model, least, jacobian = system.evaluate(values)
+        residuals = model - market
+        steps = np.zeros(n)
+        first, settling = lead, True
+        while lead < n:
+            x, residual, slope = values[lead], residuals[lead], jacobian[lead, lead]
+            lead_passes += 1
+            settled = (0.0, True) if least[lead] >= market[lead] else bracket.settle(x, residual)
+            if settled is None:
+                # where the slope is not positive, step off the bracket's left end
+                step = residual / slope if slope > 0.0 else x - bracket.lo
+                if slope > 0.0 and abs(step) < LADDER_TOL * x:
+                    settled = x - step, False
+                elif lead_passes < NEWTON_MAX_ITER:
+                    steps[lead], settling = bracket.keep(x - step) - x, False
+                    break
+                else:
+                    # not reached by any shipped ladder: the cap's residual records the miss
+                    settled = bracket.keep(x - step), False
+            value, at_clamp = settled
+            steps[lead] = value - x
+            if at_clamp:
+                clamped.append(lead)
+            lead, bracket, lead_passes = lead + 1, _Bracket(), 0
+            if value != x:
+                break
+        # the nodes after: one triangular solve, redone past each node a
+        # bound cuts, so that every later step sees the steps taken before it
+        start = lead if settling else lead + 1
+        while start < n:
+            block = jacobian[start:, start:]
+            rhs = -(residuals[start:] + jacobian[start:, first:start] @ steps[first:start])
+            held = ~(np.diagonal(block) > 0.0)
+            if held.any():
+                block = block.copy()
+                block[held], rhs[held] = 0.0, 0.0
+                block[held, held] = 1.0
+            delta = lapack.dtrtrs(block, rhs, lower=1)[0]
+            x = values[start:]
+            target = x + delta
+            if settling:
+                # settled steps stay inside the bounds, so none of them is cut
+                small = ~held & (np.abs(delta) < LADDER_TOL * x) & (target < BRACKET_LIMIT)
+                lead += len(small) if small.all() else int(np.argmin(small))
+                settling = False
+            kept = np.minimum(np.maximum(target, 0.0), BRACKET_LIMIT)
+            cut = np.flatnonzero(kept != target)
+            end = cut[0] + 1 if cut.size else len(kept)
+            steps[start : start + end] = kept[:end] - x[:end]
+            start += end
+        values = values + steps
+    return values, clamped
 
 
 def bootstrap_sequential(schedule, quotes, config=None):
@@ -435,34 +608,58 @@ def bootstrap_sequential(schedule, quotes, config=None):
 def _bootstrap(ladder, config, nodes_only=False):
     """The sequential bootstrap's StripResult on a Ladder, or with nodes_only
     its node values alone (the global solver's start, on the global call's
-    ladder)."""
-    quotes, counts, market, times = ladder.quotes, ladder.counts, ladder.market, ladder.times
+    ladder).
+
+    Node q solves cap q on the curve through nodes 0..q, the nodes before
+    it solved. For the local families (all but cubic and hyman) that curve
+    is the ladder's with every later node tied to node q, so cap q's price
+    is a function of nodes 0..q alone that never falls as a node rises: the
+    equations form one lower-triangular system, solved for every node at
+    once by Newton on the whole ladder (_solve_local), a few kernel passes
+    in all. cubic and hyman solve node by node (_newton_node): their
+    slopes reach across nodes, so that cap q is not monotone in node q,
+    and each node's root is taken as its own safeguarded 1-D solve.
+    """
+    quotes, times = ladder.quotes, ladder.times
     taus = ladder.node_times(config.placement)
     vol_map = VolMap.of(config, "bootstrap")
     family, beta, delta = config.family, config.beta, ladder.delta
-    local = family not in ("cubic", "hyman")
-    if local:
-        # on cap q's fixings, the curve through nodes 0..q is the whole
-        # ladder's with every later node tied to node q: its column is the
-        # sum of W's columns from q on
-        weights = basis_matrix(family, taus, times, beta, delta)
-        tied = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]
+    if family not in ("cubic", "hyman"):
+        system = _LocalSystem(ladder, family, taus, beta, vol_map)
+        # start every node at its cap's flat vol, the one vol that prices the whole cap
+        values, clamped = _solve_local(system, ladder.market, quotes.flat_vols)
     else:
-        if config.placement != "maturity":
-            raise InputError(f"the {family} bootstrap needs at-maturity nodes")
-        # at-maturity nodes put cap q's fixings at or before node q, where the
-        # Hermite basis of nodes 0..q is the ladder's cut to its first q + 1 columns
-        hermite = hermite_basis(taus, times)
+        values, clamped = _bootstrap_by_node(ladder, config, taus, vol_map)
+    if nodes_only:
+        return values
+    clamped = [int(quotes.maturities_months[q]) for q in clamped]
+    final = VolCurve(family, taus, values, beta=beta, delta=delta)
+    caplet_vols = vol_map(final(times))
+    result = ladder.result(
+        "bootstrap", taus, values, caplet_vols, config,
+        clamped_months=clamped, stop_reason="clamped" if clamped else "priced",
+    )
+    result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
+    return result
+
+
+def _bootstrap_by_node(ladder, config, taus, vol_map):
+    """cubic's and hyman's nodes, one _newton_node solve each: (values, clamped)."""
+    quotes, market, times = ladder.quotes, ladder.market, ladder.times
+    family = config.family
+    if config.placement != "maturity":
+        raise InputError(f"the {family} bootstrap needs at-maturity nodes")
+    # at-maturity nodes put cap q's fixings at or before node q, where the
+    # Hermite basis of nodes 0..q is the ladder's cut to its first q + 1 columns
+    hermite = hermite_basis(taus, times)
     values = np.zeros(len(quotes))
     known_map = np.zeros((0, 0))  # hyman's slope map of the solved nodes
     clamped = []
-    for q, rows in enumerate(counts):
+    for q, rows in enumerate(ladder.counts):
         # cap q alone, on the curve fixed + x * column through nodes 0..q
         known = values[:q]
         line = None
-        if local:
-            fixed, column = weights[:rows, :q] @ known, tied[:rows, q]
-        elif family == "cubic":
+        if family == "cubic":
             prefix = _cubic_prefix(hermite, taus, times[:rows], q)
             fixed, column = prefix[:, :q] @ known, prefix[:, q]
         else:
@@ -478,17 +675,8 @@ def _bootstrap(ladder, config, nodes_only=False):
             line, zero_first=family == "hyman",
         )
         if at_clamp:
-            clamped.append(int(quotes.maturities_months[q]))
-    if nodes_only:
-        return values
-    final = VolCurve(family, taus, values, beta=beta, delta=delta)
-    caplet_vols = vol_map(final(times))
-    result = ladder.result(
-        "bootstrap", taus, values, caplet_vols, config,
-        clamped_months=clamped, stop_reason="clamped" if clamped else "priced",
-    )
-    result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
-    return result
+            clamped.append(q)
+    return values, clamped
 
 
 def _cubic_prefix(hermite, taus, times, q):
@@ -566,11 +754,18 @@ def strip_global(schedule, quotes, config=None):
     non-negative vols reach, so that no further step can gain more.
     iterations counts residual evaluations, at most max_iter; stop_reason
     is 'priced' when the ladder reprices, 'floor' at the floor, else the
-    stop test that fired.
+    stop test that fired. A quote priced at 0 (zero flat vol out of the
+    money, or a price that underflows) has no relative error, so a ladder
+    with one raises InputError.
     """
     config = config or StripConfig()
     ladder = Ladder(schedule, quotes)
     market = ladder.market
+    if np.any(market <= 0.0):
+        months = ", ".join(f"{m}M" for m in quotes.maturities_months[market <= 0.0])
+        raise InputError(
+            f"the global solver fits relative price errors, which quotes priced at 0 lack: {months}"
+        )
     taus = ladder.node_times(config.placement)
     vol_map = VolMap.of(config)
     core = EvaluationCore(ladder, taus, config, vol_map)

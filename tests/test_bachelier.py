@@ -201,15 +201,16 @@ def test_vega_vector_matches_the_closed_form():
 
 
 def _greeks_match_price_and_vega(terms, vols):
-    """price_greeks_vector's prices and vegas are price_vector's and vega_vector's, to the bit."""
-    prices, vegas, vommas = cs.bachelier.price_greeks_vector(*terms, vols)
+    """CapletTable.price_greeks's prices and vegas are price_vector's and vega_vector's,
+    to the bit."""
+    prices, vegas, vommas = cs.bachelier.CapletTable(*terms).price_greeks(vols)
     np.testing.assert_array_equal(prices, cs.price_vector(*terms, vols))
     np.testing.assert_array_equal(vegas, cs.vega_vector(*terms, vols))
     assert np.all(np.isfinite(vommas))
     return vegas, vommas
 
 
-def test_price_greeks_vector_matches_price_vega_and_differences():
+def test_table_price_greeks_matches_price_vega_and_differences():
     strike = 0.018
     forwards = np.array([0.025, 0.018, 0.01, 0.018, 0.03, 0.005])
     expiries = np.array([0.5, 1.0, 2.0, 3.0, 0.25, 1.5])
@@ -262,7 +263,7 @@ def test_caplet_table_rows_price_as_their_own_table():
         np.testing.assert_array_equal(part.price(vols[rows]), cs.price_vector(*terms, vols[rows]))
         np.testing.assert_array_equal(part.vega(vols[rows]), cs.vega_vector(*terms, vols[rows]))
         prices, vegas = part.price_vega(vols[rows])
-        greeks = cs.bachelier.price_greeks_vector(*terms, vols[rows])
+        greeks = cs.bachelier.CapletTable(*terms).price_greeks(vols[rows])
         np.testing.assert_array_equal(prices, greeks[0])
         np.testing.assert_array_equal(vegas, greeks[1])
         for got, want in zip(part.price_greeks(vols[rows]), greeks):

@@ -18,6 +18,7 @@ from capstrip import (
     CapQuoteSet,
     StripConfig,
     StripResult,
+    VolCurve,
     ZeroCurve,
     bootstrap_sequential,
     build_schedule,
@@ -97,6 +98,7 @@ def test_strip_json_reports_the_run(run_dir):
     # a ladder without arbitrage has a zero floor, and its gap is the cost
     assert payload["floor_cost"] == 0.0
     assert 0.0 <= payload["gap_to_floor"] < 1e-20
+    assert payload["node_log_vols"] is None  # written under exp only
 
 
 def test_daily_curve_follows_the_node_steps(run_dir):
@@ -139,6 +141,30 @@ def test_global_run_states_its_floor_stop(tmp_path):
     assert payload["stop_reason"] == "floor"
     assert payload["converged"] is False
     assert 0.0 <= payload["gap_to_floor"] <= 1e-9 * payload["floor_cost"]
+
+
+@pytest.mark.parametrize("family", ["quintic", "cubic"])
+def test_exp_daily_curve_rebuilds_from_strip_json(tmp_path, family):
+    """Under exp, strip.json's node log-vols rebuild the daily curve alone,
+    to the printed digit. The capped exponentials in node_values_bp cannot:
+    the raw quintic fit solves a log-vol below -1e15, whose vol is 0 bp."""
+    args = ["run", *_market_args(), "--method", "global", "--family", family, "--nodes", "mid"]
+    assert _invoke([*args, "--positivity", "exp", "--out", str(tmp_path)]).exit_code == 0
+    payload = json.loads((tmp_path / "strip.json").read_text())
+    lines = (tmp_path / "volcurve_daily.csv").read_text().splitlines()
+    days = np.array([round(float(line.split(",")[0]) * 365.0) for line in lines[1:]])
+    config = payload["config"]
+    curve = VolCurve(
+        config["family"], payload["node_times_years"], payload["node_log_vols"],
+        beta=config["beta"], delta=config["tenor_months"] / 12.0,
+    )
+    vols_bp = np.exp(np.minimum(curve(days / 365.0), 3.0)) * 1e4
+    assert lines[1:] == [f"{d / 365:.6f},{v:.4f}" for d, v in zip(days, vols_bp)]
+    log_vols = np.array(payload["node_log_vols"])
+    capped = np.exp(np.minimum(log_vols, 3.0)) * 1e4
+    np.testing.assert_allclose(payload["node_values_bp"], capped, rtol=1e-15)
+    if family == "quintic":
+        assert log_vols.min() < -1e15 and min(payload["node_values_bp"]) == 0.0
 
 
 def test_strict_mode_stops_on_violations(tmp_path):
@@ -357,23 +383,55 @@ def test_non_finite_or_negative_quotes_are_rejected(tmp_path, bad_row):
     _assert_rejected(result, out)
 
 
-@pytest.mark.parametrize("method", ["tv", "bootstrap"])
-def test_quotes_priced_at_zero_write_no_floor(tmp_path, method):
-    """Zero flat vols far out of the money price caps at 0, which have no
-    relative error: the floor and the gap are written as null."""
+# (quotes CSV, strike bp, the maturities priced at 0): zero flat vols out of
+# the money, and a deep out-of-the-money price that underflows
+ZERO_PRICED_LADDERS = [
+    ("maturity_months,flat_vol_bp\n12,0\n24,0\n36,1\n", "1000", "12M, 24M, 36M"),
+    ("maturity_months,flat_vol_bp\n12,1000\n24,1e-6\n36,1000\n", "5000", "24M"),
+]
+
+
+def _zero_priced_args(tmp_path, ladder):
+    text, strike_bp, _ = ladder
     quotes = tmp_path / "quotes.csv"
-    quotes.write_text("maturity_months,flat_vol_bp\n12,0\n24,0\n36,1\n")
-    out = tmp_path / "out"
-    result = _invoke([
-        "run",
+    quotes.write_text(text)
+    return [
         "--projection-curve", str(DATA / "libor1m_zero_curve.csv"),
         "--discount-curve", str(DATA / "ois_zero_curve.csv"),
-        "--quotes", str(quotes), "--strike-bp", "1000", "--method", method,
-        "--out", str(out),
-    ])
-    assert result.exit_code == 0, result.output
-    payload = json.loads((out / "strip.json").read_text())
-    assert payload["floor_cost"] is None and payload["gap_to_floor"] is None
+        "--quotes", str(quotes), "--strike-bp", strike_bp,
+    ]
+
+
+@pytest.mark.parametrize("method", ["tv", "bootstrap"])
+def test_quotes_priced_at_zero_write_no_floor(tmp_path, method):
+    """tv and bootstrap strip these ladders. A cap priced at 0 has no
+    relative error, so where the stripped ladder keeps one (tv drops the
+    underflowed 24M quote, whose time value falls) the floor and the gap
+    are written as null."""
+    for index, ladder in enumerate(ZERO_PRICED_LADDERS):
+        out = tmp_path / f"out{index}"
+        result = _invoke(
+            ["run", *_zero_priced_args(tmp_path, ladder), "--method", method, "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads((out / "strip.json").read_text())
+        priced_at_zero = 0.0 in payload["market_prices_bp"]
+        assert priced_at_zero == (method == "bootstrap" or index == 0)
+        assert (payload["floor_cost"] is None) == priced_at_zero
+        assert (payload["gap_to_floor"] is None) == priced_at_zero
+
+
+@pytest.mark.parametrize("ladder", ZERO_PRICED_LADDERS)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_global_rejects_quotes_priced_at_zero(tmp_path, command, ladder):
+    """The global solver's errors are relative to the price, so a quote
+    priced at 0 ends the run with one error line naming its maturity, and
+    nothing written; compare stops at its first global row."""
+    out = tmp_path / "out"
+    flags = ["--method", "global", "--nodes", "mid"] if command == "run" else []
+    result = _invoke([command, *_zero_priced_args(tmp_path, ladder), *flags, "--out", str(out)])
+    _assert_rejected(result, out)
+    assert result.stderr.rstrip().endswith(f"priced at 0 lack: {ladder[2]}")
 
 
 def test_non_finite_curve_rate_is_rejected(tmp_path):

@@ -16,6 +16,7 @@ def _counts(schedule, months):
 
 
 KERNELS = ("price", "vega", "price_vega", "price_greeks")
+LOCAL_FAMILIES = ("flat", "flat-linear", "flat-smooth", "cosine", "quintic", "linear")
 
 
 def _count_kernel_passes(monkeypatch):
@@ -191,9 +192,11 @@ def test_bootstrap_prices_few_caps(monkeypatch, schedule, quotes, clean_quotes, 
     result = cs.stripping._bootstrap(shared, config)
     monkeypatch.undo()
 
-    # one kernel pass per Newton step (the first prices the whole prefix
-    # once and splits it); hyman also tests zero vol first
-    assert len(passes) < (60 if family == "hyman" else 40)
+    # cubic and hyman: one kernel pass per Newton step of each node (the
+    # first prices the whole prefix once and splits it), and hyman also
+    # tests zero vol first; the local families: one pass per Newton step
+    # of the whole ladder
+    assert len(passes) < {"cubic": 40, "hyman": 60}.get(family, 20)
     _assert_unclamped_caps_reprice(schedule, ladder_quotes, market, result)
     if ladder == "raw" and family == "flat":
         assert result.clamped_months == [4, 5, 6, 24]
@@ -384,21 +387,20 @@ def _bracketed_node(cap_price, target):
     return brentq(lambda x: cap_price(x) - target, 0.0, hi, xtol=1e-16, rtol=8.9e-16), False
 
 
-@pytest.mark.parametrize("ladder, clamped", [("clean", [5]), ("raw", [4, 5, 6, 24, 60, 84])])
-def test_hyman_newton_agrees_with_the_bracketed_solve(
-    schedule, quotes, clean_quotes, ladder, clamped
-):
-    ladder_quotes = quotes if ladder == "raw" else clean_quotes
-    result = cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="hyman"))
+def _bracketed_nodes(schedule, ladder_quotes, result):
+    """Every node of a bootstrap result by bracket doubling and Brent on the
+    family's curve through nodes 0..q, the earlier nodes the result's:
+    returns (nodes, clamped months)."""
+    config = result.config
     market = cs.diagnostics.cap_prices(schedule, ladder_quotes)
     counts = _counts(schedule, ladder_quotes.maturities_months)
     full_table = Ladder(schedule, ladder_quotes).table
     taus, nodes = result.node_times, result.node_values
-    # every node by bracket doubling and Brent on the hyman curve through
-    # nodes 0..q, with the earlier nodes the result's
-    bracketed, bracket_clamped = [], []
+    bracketed, clamped = [], []
     for q, rows in enumerate(counts):
-        basis = CurveBasis("hyman", taus[: q + 1], schedule.fixing_times[:rows], 1.0, 1 / 12)
+        basis = CurveBasis(
+            config.family, taus[: q + 1], schedule.fixing_times[:rows], config.beta, 1 / 12
+        )
         table = full_table[:rows]
 
         def cap_price(x, basis=basis, table=table, q=q):
@@ -407,11 +409,56 @@ def test_hyman_newton_agrees_with_the_bracketed_solve(
         node, at_clamp = _bracketed_node(cap_price, market[q])
         bracketed.append(node)
         if at_clamp:
-            bracket_clamped.append(int(ladder_quotes.maturities_months[q]))
-    gap = np.abs(nodes - bracketed)
+            clamped.append(int(ladder_quotes.maturities_months[q]))
+    return np.array(bracketed), clamped
+
+
+@pytest.mark.parametrize("ladder, clamped", [("clean", [5]), ("raw", [4, 5, 6, 24, 60, 84])])
+def test_hyman_newton_agrees_with_the_bracketed_solve(
+    schedule, quotes, clean_quotes, ladder, clamped
+):
+    ladder_quotes = quotes if ladder == "raw" else clean_quotes
+    result = cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="hyman"))
+    bracketed, bracket_clamped = _bracketed_nodes(schedule, ladder_quotes, result)
+    gap = np.abs(result.node_values - bracketed)
     assert np.all(gap <= 1e-12 * np.abs(bracketed))
     assert result.clamped_months == bracket_clamped == clamped
     assert result.stop_reason == "clamped"
+
+
+def _oracle_ladders(quotes, clean_quotes):
+    """(name, quotes) of both fixture ladders at strikes 0, 200 and -50 bp,
+    the clean ladder with a 3e6 bp quote that clamps at the bracket limit,
+    and a ladder of quotes priced at 0."""
+    for name, base in (("raw", quotes), ("clean", clean_quotes)):
+        for strike_bp in (0, 200, -50):
+            yield f"{name} {strike_bp}", cs.CapQuoteSet(
+                base.maturities_months, base.flat_vols, strike_bp * 1e-4
+            )
+    vols = clean_quotes.flat_vols.copy()
+    vols[5] = 300.0
+    yield "limit", cs.CapQuoteSet(clean_quotes.maturities_months, vols, clean_quotes.strike)
+    yield "zero", cs.CapQuoteSet(np.array([12, 24, 36]), np.array([0.0, 0.0, 1e-4]), 0.10)
+
+
+def test_local_bootstrap_agrees_with_the_bracketed_solve(schedule, quotes, clean_quotes):
+    """The whole-ladder Newton solve gives every node of the local families
+    that a node-by-node bracketed solve gives: the same root within 1e-12,
+    the same clamps."""
+    configs = [cs.StripConfig(family=family) for family in LOCAL_FAMILIES] + [
+        cs.StripConfig(family=family, placement="mid") for family in ("flat", "linear")
+    ]
+    clamps = set()
+    for name, ladder_quotes in _oracle_ladders(quotes, clean_quotes):
+        for config in configs:
+            result = cs.stripping._bootstrap(Ladder(schedule, ladder_quotes), config)
+            bracketed, clamped = _bracketed_nodes(schedule, ladder_quotes, result)
+            gap = np.abs(result.node_values - bracketed)
+            assert np.all(gap <= 1e-12 * bracketed), (name, config)
+            assert result.clamped_months == clamped, (name, config)
+            clamps.update((name, month) for month in clamped)
+    # clamps at zero vol, at the bracket limit and on zero prices are all covered
+    assert {("raw 0", 24), ("limit", 36), ("zero", 36)} <= clamps
 
 
 @pytest.mark.parametrize(
@@ -540,7 +587,6 @@ def test_round_trip_recovers_known_nodes(schedule, quotes):
     assert boot.max_abs_residual_bp <= 1e-10
 
 
-LOCAL_FAMILIES = ("flat", "flat-linear", "flat-smooth", "cosine", "quintic", "linear")
 # at the 200 bp strike the caplets sit near the money; far in the money a
 # node can move its cap's price by less than the price's round-off
 ROUND_TRIP_STRIKE = 0.02
