@@ -581,11 +581,13 @@ def _solve_local(system, market, starts):
 
 
 def bootstrap_sequential(schedule, quotes, config=None):
-    """Solve node values one quote at a time, each by safeguarded Newton in a bracket.
+    """Solve node values quote by quote: node q reprices cap q given nodes 0..q-1.
 
     Node q is the one-dimensional root matching the model price of cap q,
     with earlier nodes held fixed and the curve restricted to the solved
-    nodes. Exact only where that restriction is harmless: at-maturity
+    nodes (_bootstrap solves the local families' nodes all at once, and
+    cubic's and hyman's one at a time, to the same roots). Exact only
+    where that restriction is harmless: at-maturity
     nodes keep each cap inside its own node span, while midpoint nodes
     let later nodes reach back into earlier caps, so the sequential pass
     is approximate there (converged reports the achieved repricing, and
