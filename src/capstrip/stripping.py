@@ -464,24 +464,35 @@ class _LocalSystem:
         self.ends = np.cumsum(sizes)
         self.begins = self.ends - sizes
         self.vol_map = vol_map
+        # the cap whose sum first takes each fixing of W (every later cap's
+        # does too), and the one cap that owns each tail row
+        owner = np.repeat(nodes, sizes)
+        first_cap = np.concatenate(
+            (np.searchsorted(self.heads, np.arange(self.rows), side="right"), owner)
+        )
         if not self.ends[-1]:
             self.matrix, self.table = weights, ladder.table
-            return
-        tail_rows = np.concatenate([np.arange(h, c) for h, c in zip(self.heads, counts)])
-        owner = np.repeat(nodes, sizes)
-        tied = np.cumsum(weights[tail_rows, ::-1], axis=1)[:, ::-1]
-        tail = weights[tail_rows] * (nodes < owner[:, None])
-        tail[np.arange(len(owner)), owner] = tied[np.arange(len(owner)), owner]
-        self.matrix = np.vstack((weights, tail))
-        self.table = ladder.table[np.concatenate((np.arange(self.rows), tail_rows))]
+        else:
+            tail_rows = np.concatenate([np.arange(h, c) for h, c in zip(self.heads, counts)])
+            tied = np.cumsum(weights[tail_rows, ::-1], axis=1)[:, ::-1]
+            tail = weights[tail_rows] * (nodes < owner[:, None])
+            tail[np.arange(len(owner)), owner] = tied[np.arange(len(owner)), owner]
+            self.matrix = np.vstack((weights, tail))
+            self.table = ladder.table[np.concatenate((np.arange(self.rows), tail_rows))]
+        # the matrix's nonzeros, each with its slot in the Jacobian's (cap, node)
+        # sums: W's in the first n x n block, cumulated over caps, the tail's after
+        self._rows_nz, nodes_nz = np.nonzero(self.matrix != 0.0)
+        self._values_nz = self.matrix[self._rows_nz, nodes_nz]
+        tail_nz = self._rows_nz >= self.rows
+        self._slots_nz = (tail_nz * n + first_cap[self._rows_nz]) * n + nodes_nz
 
-    def _sums(self, caplet_values):
-        """(each cap's sum of caplet_values over its own rows, the running
-        sums over W's rows from 0), for caplet values along axis 0."""
-        running = _running_sums(caplet_values[: self.rows])
+    def _sums(self, caplet_prices):
+        """(each cap's sum of caplet_prices over its own rows, the running
+        sums over W's rows from 0)."""
+        running = _running_sums(caplet_prices[: self.rows])
         sums = running[self.heads]
         if self.ends[-1]:
-            tail = _running_sums(caplet_values[self.rows :])
+            tail = _running_sums(caplet_prices[self.rows :])
             sums += tail[self.ends] - tail[self.begins]
         return sums, running
 
@@ -490,20 +501,23 @@ class _LocalSystem:
 
         least[q] is the least price node q can give cap q: no vol prices
         below intrinsic. The Jacobian is exact off the zero floor's kink,
-        in EvaluationCore.jacobian's cumulative-sum form.
+        in EvaluationCore.jacobian's cumulative-sum form over the caps,
+        summed from the matrix's nonzeros alone.
         """
         curve = self.matrix @ values
         vols = self.vol_map(curve)
         prices, vegas = self.table.price_vega(vols)
         model, running = self._sums(prices)
         least = running[self.moves] + self.moving_intrinsic
-        weights = vegas * self.vol_map.slope(curve, vols)
-        return model, least, self._sums(weights[:, None] * self.matrix)[0]
+        weights = (vegas * self.vol_map.slope(curve, vols))[self._rows_nz] * self._values_nz
+        n = len(model)
+        main, tail = np.bincount(self._slots_nz, weights, 2 * n * n).reshape(2, n, n)
+        return model, least, np.cumsum(main, axis=0) + tail
 
 
 def _running_sums(values):
-    """Sums of values' first k rows, for k = 0 .. len(values)."""
-    return np.concatenate((np.zeros((1,) + values.shape[1:]), np.cumsum(values, axis=0)))
+    """Sums of values' first k entries, for k = 0 .. len(values)."""
+    return np.concatenate(([0.0], np.cumsum(values)))
 
 
 def _solve_local(system, market, starts):
@@ -558,13 +572,14 @@ def _solve_local(system, market, starts):
         while start < n:
             block = jacobian[start:, start:]
             rhs = -(residuals[start:] + jacobian[start:, first:start] @ steps[first:start])
-            held = ~(np.diagonal(block) > 0.0)
+            # a node at 0 that zero vol overprices holds, as its cut step would
+            x = values[start:]
+            held = ~(np.diagonal(block) > 0.0) | ((x == 0.0) & (rhs <= 0.0))
             if held.any():
                 block = block.copy()
                 block[held], rhs[held] = 0.0, 0.0
                 block[held, held] = 1.0
             delta = lapack.dtrtrs(block, rhs, lower=1)[0]
-            x = values[start:]
             target = x + delta
             if settling:
                 # settled steps stay inside the bounds, so none of them is cut
