@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
-
 # brentq is not called here; perfbench/spans.py wraps stripping.brentq by name
 from scipy.optimize import brentq, least_squares  # noqa: F401
 
@@ -41,7 +40,7 @@ BRACKET_LIMIT = BRACKET_START * 2**11  # 1.024e6 bp: a node that underprices her
 LOG_VOL_CAP = 3.0  # exp-mode curves are capped here before exponentiating
 PRICE_TOL_BP = 1e-10  # a quote is repriced when its residual is within this
 FLOOR_GAP = 1e-9  # the global solver stops within this share of the arbitrage floor
-NEWTON_MAX_ITER = 50  # bootstrap node steps; no shipped ladder's node takes 10
+NEWTON_MAX_ITER = 50  # steps per bootstrap node, or passes as the lead; no shipped node takes 10
 NEWTON_TOL = 1e-6  # a relative Halley step this small leaves only round-off (its cube)
 LADDER_TOL = 1e-8  # a relative Newton step this small leaves only round-off (its square)
 # least_squares status -> the stop test that fired (4: ftol and xtol both; -2:
@@ -186,8 +185,7 @@ class Ladder:
 
     def cap_sums(self, caplet_prices):
         """Cap prices from the prices of the caplets, each cap the first counts[q]."""
-        cumulative = np.concatenate(([0.0], np.cumsum(caplet_prices)))
-        return cumulative[self.counts]
+        return _running_sums(caplet_prices)[self.counts]
 
     @cached_property
     def floor_cost(self):

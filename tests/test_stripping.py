@@ -458,7 +458,7 @@ def test_local_bootstrap_agrees_with_the_bracketed_solve(schedule, quotes, clean
             assert result.clamped_months == clamped, (name, config)
             clamps.update((name, month) for month in clamped)
     # clamps at zero vol, at the bracket limit and on zero prices are all covered
-    assert {("raw 0", 24), ("limit", 36), ("zero", 36)} <= clamps
+    assert {("raw 0", 24), ("limit", 12), ("zero", 36)} <= clamps
 
 
 @pytest.mark.parametrize(
