@@ -7,21 +7,16 @@ from .bachelier import (
     intrinsic_vector,
     price,
     price_vector,
-    time_value,
-    vega,
-    vega_vector,
 )
 from .cli import RunConfig, compare_methods, evaluated_curve, run_pipeline
 from .diagnostics import (
     CapQuoteSet,
     DiagnosticsReport,
     OutlierReport,
-    cap_price_from_flat_vol,
     cap_prices,
     decompose,
     detect_outliers,
     isotonic_floor,
-    remove_outliers,
 )
 from .stripping import (
     StripConfig,
@@ -54,7 +49,6 @@ __all__ = [
     "bootstrap_sequential",
     "build_monotone_c2",
     "build_schedule",
-    "cap_price_from_flat_vol",
     "cap_prices",
     "compare_methods",
     "decompose",
@@ -67,12 +61,8 @@ __all__ = [
     "place_nodes",
     "price",
     "price_vector",
-    "remove_outliers",
     "strip_global",
     "strip_time_value",
-    "time_value",
-    "vega",
-    "vega_vector",
 ]
 
 __version__ = "0.1.0"

@@ -67,10 +67,9 @@ class CapletTable:
 
     Holds B*delta, |F - K|, max(F - K, 0), sqrt(t), B*delta*sqrt(t), the
     at-the-money mask (F == K) and the intrinsic B*delta*max(F - K, 0). The
-    kernels price, vega, price_vega and price_greeks each take one vector
-    of vols and make one pass over the table; price_vector and vega_vector
-    are the first two on a fresh table, to the bit, and every kernel's
-    prices and vegas are theirs.
+    kernels price, price_vega and price_greeks each take one vector of vols
+    and make one pass over the table. Their prices agree to the bit, as do
+    the vegas of the last two; price_vector is price on a fresh table.
     A pass whose s = vol * sqrt(t) are all positive normal floats, the
     common case, runs without masks; one zero, negative, subnormal or NaN
     s sends the whole pass down the masked path, which gives the same
@@ -131,11 +130,6 @@ class CapletTable:
         s = vols * self.root_t
         return self._price(s, *self._gaussian(s))
 
-    def vega(self, vols):
-        """d(price)/d(vol) for non-negative vols; at zero vol the one-sided limit."""
-        live, _, decay = self._gaussian(vols * self.root_t)
-        return self._vega(live, decay)
-
     def _price_vega(self, vols):
         s = vols * self.root_t
         live, q, decay = self._gaussian(s)
@@ -164,14 +158,6 @@ def price_vector(forwards, strike, expiries, accruals, discounts, vols):
     return CapletTable(forwards, strike, expiries, accruals, discounts).price(vols)
 
 
-def vega_vector(forwards, strike, expiries, accruals, discounts, vols):
-    """Vectorized d(price)/d(vol) = B * delta * sqrt(t) * phi(q), for non-negative vols.
-
-    At zero vol this is the one-sided limit: the ATM value, zero elsewhere.
-    """
-    return CapletTable(forwards, strike, expiries, accruals, discounts).vega(vols)
-
-
 def intrinsic_vector(forwards, strike, accruals, discounts):
     return discounts * accruals * np.maximum(forwards - strike, 0.0)
 
@@ -182,27 +168,6 @@ def price(inputs, vol):
         raise ValueError("vol must be non-negative")
     return float(
         price_vector(
-            inputs.forward,
-            inputs.strike,
-            inputs.expiry,
-            inputs.accrual,
-            inputs.discount,
-            vol,
-        )
-    )
-
-
-def time_value(inputs, vol):
-    """Price minus intrinsic, floored at zero against roundoff."""
-    intrinsic = inputs.discount * inputs.accrual * max(inputs.forward - inputs.strike, 0.0)
-    return max(price(inputs, vol) - intrinsic, 0.0)
-
-
-def vega(inputs, vol):
-    if vol < 0.0:
-        raise ValueError("vol must be non-negative")
-    return float(
-        vega_vector(
             inputs.forward,
             inputs.strike,
             inputs.expiry,

@@ -8,6 +8,7 @@ themselves are scored with the modified Z-score over a rolling median
 window.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,26 +63,12 @@ class CapQuoteSet:
         return CapQuoteSet(self.maturities_months[keep], self.flat_vols[keep], self.strike)
 
 
-def cap_price_from_flat_vol(schedule, maturity_months, flat_vol, strike):
-    """Price of one cap with a single vol applied to all its caplets."""
-    n = schedule.caplet_count(maturity_months)
-    prices = bachelier.price_vector(
-        schedule.forwards[:n],
-        strike,
-        schedule.fixing_times[:n],
-        schedule.accruals[:n],
-        schedule.discounts[:n],
-        np.full(n, flat_vol),
-    )
-    return float(np.sum(prices))
-
-
 def cap_prices(schedule, quotes):
     """Market prices (decimal) for every quote in the set.
 
     The whole ladder, each cap's caplets at its own flat vol, is priced in
     one call; each cap is then one np.sum over its slice, so every price
-    is cap_price_from_flat_vol's to the bit.
+    is that of the cap priced alone, to the bit.
     """
     counts = np.array([schedule.caplet_count(m) for m in quotes.maturities_months])
     ends = np.cumsum(counts)
@@ -161,17 +148,27 @@ def isotonic_floor(time_values, prices):
     violators, each pool kept as (total weight, weighted mean, size). A
     quote no pool merges keeps its own time value, so the floor of a
     ladder without arbitrage is exactly 0.
+
+    1 / P^2 overflows below a price of about 1e-154. There every weight is
+    scaled by the power of two that puts the least price's near 1, which
+    moves no bit of any mean; a weight that falls out of range is 0, below
+    round-off beside it, and two pools of weight 0 leave the floor nan.
     """
     prices = np.asarray(prices, dtype=float)
     if not np.all(prices > 0.0):
         return np.nan
-    weights = 1.0 / prices**2
+    least = prices.min()
+    scale = 1.0 if least > 1e-150 else math.ldexp(1.0, math.frexp(least)[1])
+    with np.errstate(over="ignore"):
+        weights = 1.0 / (prices / scale) ** 2
     pools = []
     for weight, value in zip(weights.tolist(), np.asarray(time_values, dtype=float).tolist()):
         pools.append((weight, value, 1))
         # merge while the last pool's mean falls below the one before it
         while len(pools) > 1 and pools[-1][1] < pools[-2][1]:
             (w1, m1, n1), (w0, m0, n0) = pools.pop(), pools.pop()
+            if w0 + w1 == 0.0:
+                return np.nan
             pools.append((w0 + w1, (w0 * m0 + w1 * m1) / (w0 + w1), n0 + n1))
     fit = np.repeat([max(mean, 0.0) for _, mean, _ in pools], [n for *_, n in pools])
     miss = (fit - time_values) / prices
@@ -224,11 +221,3 @@ def detect_outliers(quotes, window=5, threshold=3.0):
         scores=scores,
         flagged=flagged,
     )
-
-
-def remove_outliers(quotes, window=5, threshold=3.0):
-    """Drop flagged quotes; returns (clean quotes, report)."""
-    report = detect_outliers(quotes, window=window, threshold=threshold)
-    if not report.flagged:
-        return quotes, report
-    return quotes.drop(report.flagged), report

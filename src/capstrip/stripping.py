@@ -1,15 +1,14 @@
 """Stripping engines: time-value interpolation, bootstrap, global solver.
 
-All engines share one evaluation convention: the vol curve is sampled at
-the caplet fixing times and mapped to pricing vols by a VolMap before
-pricing: floored at zero (or at the positivity floor), so negative node
-values (allowed while solving with positivity 'none') price as zero vol,
-or exponentiated under 'exp'. The node engines sample the curve through a
-CurveBasis, a matrix on the node values built once per solve, and the
-global solver differentiates that map exactly (EvaluationCore). Each
-engine call builds one Ladder: the caplet counts of the quoted caps, their
-market prices at the quoted flat vols, and the caplet table that prices
-the curve and reprices the result.
+The node engines share one evaluation convention: the vol curve is sampled
+at the caplet fixing times, as a matrix on the node values built once per
+solve, and mapped to pricing vols by a VolMap before pricing. The bootstrap
+floors it at zero (ZERO_FLOOR), so that negative values price as zero vol.
+The global solver takes the positivity mode: the zero floor, the positivity
+floor, or the exponential under 'exp'; it differentiates the map exactly
+(EvaluationCore). Each engine call builds one Ladder: the caplet counts of
+the quoted caps, their market prices at the quoted flat vols, and the
+caplet table that prices the curve and reprices the result.
 """
 
 import math
@@ -250,6 +249,9 @@ class VolMap:
         return (curve > self.floor).astype(float)
 
 
+ZERO_FLOOR = VolMap()  # VolMap.of for every engine but global: the zero-floored curve
+
+
 class CurveBasis:
     """A vol family sampled at fixed times as a matrix on the node values.
 
@@ -274,10 +276,6 @@ class CurveBasis:
         values_part, slopes_part = self._hermite
         return values_part + slopes_part @ hyman_slopes(self.taus, values)[1]
 
-    def __call__(self, values):
-        values = np.asarray(values, dtype=float)
-        return self.matrix(values) @ values
-
 
 class _Point(NamedTuple):
     matrix: np.ndarray
@@ -291,12 +289,13 @@ class EvaluationCore:
     """Node values -> vols at the fixings -> cap prices, for one Ladder.
 
     The curve on nodes taus is sampled at the ladder's fixings through one
-    CurveBasis, and its caplets are priced off the ladder's CapletTable.
+    CurveBasis, mapped by the configuration's VolMap, and its caplets are
+    priced off the ladder's CapletTable.
     """
 
-    def __init__(self, ladder, taus, config, vol_map):
+    def __init__(self, ladder, taus, config):
         self.ladder = ladder
-        self.vol_map = vol_map
+        self.vol_map = VolMap.of(config)
         self.basis = CurveBasis(config.family, taus, ladder.times, config.beta, ladder.delta)
 
     def evaluate(self, x):
@@ -358,8 +357,7 @@ class _Bracket:
         return min(candidate, BRACKET_LIMIT)
 
 
-def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
-                 zero_first=False):
+def _newton_node(table, fixed, column, target, start, split, line=None, zero_first=False):
     """A bootstrap node on the curve fixed + x * column, by safeguarded Newton.
 
     Returns (x, clamped). table prices the cap's caplets, and split =
@@ -387,7 +385,7 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
         if line is not None and not first:
             fixed, column = line(x)
         curve = fixed + x * column
-        vols = vol_map(curve)
+        vols = ZERO_FLOOR(curve)
         prices, vegas, vommas = table.price_greeks(vols)
         if first:
             first = False
@@ -407,7 +405,7 @@ def _newton_node(table, fixed, column, target, start, vol_map, split, line=None,
         if zero_first:
             zero_first, x = False, start
             continue
-        weights = vol_map.slope(curve, vols) * column
+        weights = ZERO_FLOOR.slope(curve, vols) * column
         slope = vegas @ weights
         candidate = bracket.lo
         if slope > 0.0:
@@ -448,7 +446,7 @@ class _LocalSystem:
     triangular in v, and each of its rows rises with its own node.
     """
 
-    def __init__(self, ladder, family, taus, beta, vol_map):
+    def __init__(self, ladder, family, taus, beta):
         weights = basis_matrix(family, taus, ladder.times, beta, ladder.delta)
         counts, self.rows, n = ladder.counts, ladder.counts[-1], len(taus)
         # the last node each fixing reads, which never falls along the fixings
@@ -461,7 +459,6 @@ class _LocalSystem:
         sizes = counts - self.heads
         self.ends = np.cumsum(sizes)
         self.begins = self.ends - sizes
-        self.vol_map = vol_map
         # the cap whose sum first takes each fixing of W (every later cap's
         # does too), and the one cap that owns each tail row
         owner = np.repeat(nodes, sizes)
@@ -503,11 +500,11 @@ class _LocalSystem:
         summed from the matrix's nonzeros alone.
         """
         curve = self.matrix @ values
-        vols = self.vol_map(curve)
+        vols = ZERO_FLOOR(curve)
         prices, vegas = self.table.price_vega(vols)
         model, running = self._sums(prices)
         least = running[self.moves] + self.moving_intrinsic
-        weights = (vegas * self.vol_map.slope(curve, vols))[self._rows_nz] * self._values_nz
+        weights = (vegas * ZERO_FLOOR.slope(curve, vols))[self._rows_nz] * self._values_nz
         n = len(model)
         main, tail = np.bincount(self._slots_nz, weights, 2 * n * n).reshape(2, n, n)
         return model, least, np.cumsum(main, axis=0) + tail
@@ -608,9 +605,11 @@ def bootstrap_sequential(schedule, quotes, config=None):
     pass entirely). Evaluated vols are floored at zero, so when zero vol
     already overprices the cap (negative incremental time value) there is
     no root: the node clamps to zero, the miss is recorded in the
-    residuals, and stripping continues (stop_reason 'clamped', else
-    'priced'). A cap that BRACKET_LIMIT still underprices clamps its node
-    there in the same way.
+    residuals, and stripping continues. A cap that BRACKET_LIMIT still
+    underprices clamps its node there in the same way. stop_reason is
+    'priced' exactly when the ladder reprices (converged), 'clamped' when
+    a node clamped, and otherwise 'approximate': the midpoint pass, or a
+    node solve that ran out of steps.
     """
     config = config or StripConfig()
     if config.placement == "mid" and config.family != "flat":
@@ -637,28 +636,26 @@ def _bootstrap(ladder, config, nodes_only=False):
     """
     quotes, times = ladder.quotes, ladder.times
     taus = ladder.node_times(config.placement)
-    vol_map = VolMap.of(config, "bootstrap")
     family, beta, delta = config.family, config.beta, ladder.delta
     if family not in ("cubic", "hyman"):
-        system = _LocalSystem(ladder, family, taus, beta, vol_map)
+        system = _LocalSystem(ladder, family, taus, beta)
         # start every node at its cap's flat vol, the one vol that prices the whole cap
         values, clamped = _solve_local(system, ladder.market, quotes.flat_vols)
     else:
-        values, clamped = _bootstrap_by_node(ladder, config, taus, vol_map)
+        values, clamped = _bootstrap_by_node(ladder, config, taus)
     if nodes_only:
         return values
     clamped = [int(quotes.maturities_months[q]) for q in clamped]
     final = VolCurve(family, taus, values, beta=beta, delta=delta)
-    caplet_vols = vol_map(final(times))
-    result = ladder.result(
-        "bootstrap", taus, values, caplet_vols, config,
-        clamped_months=clamped, stop_reason="clamped" if clamped else "priced",
-    )
+    caplet_vols = ZERO_FLOOR(final(times))
+    result = ladder.result("bootstrap", taus, values, caplet_vols, config, clamped_months=clamped)
     result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
+    if not result.converged:
+        result.stop_reason = "clamped" if clamped else "approximate"
     return result
 
 
-def _bootstrap_by_node(ladder, config, taus, vol_map):
+def _bootstrap_by_node(ladder, config, taus):
     """cubic's and hyman's nodes, one _newton_node solve each: (values, clamped)."""
     quotes, market, times = ladder.quotes, ladder.market, ladder.times
     family = config.family
@@ -686,8 +683,8 @@ def _bootstrap_by_node(ladder, config, taus, vol_map):
         split = _split_rows(column != 0.0) if line is None else (slice(start), slice(start, None))
         # start at the flat vol, the one vol that prices the whole cap
         values[q], at_clamp = _newton_node(
-            ladder.table[:rows], fixed, column, market[q], quotes.flat_vols[q], vol_map, split,
-            line, zero_first=family == "hyman",
+            ladder.table[:rows], fixed, column, market[q], quotes.flat_vols[q], split, line,
+            zero_first=family == "hyman",
         )
         if at_clamp:
             clamped.append(q)
@@ -722,7 +719,7 @@ def _grow_slope_map(slope_map, taus, known):
     return grown
 
 
-def _hyman_line(hermite, taus, times, known, known_map=None):
+def _hyman_line(hermite, taus, times, known, known_map):
     """hyman's curve through nodes 0..q on cap q's fixings `times`, as
     (line, start): line(x, part) gives (fixed, column) at node q's value x
     on the rows `part`, by default those from `start`, the first fixing
@@ -732,14 +729,12 @@ def _hyman_line(hermite, taus, times, known, known_map=None):
     matrix is A + B @ S(v), with (A, B) the ladder's Hermite basis cut to
     nodes 0..q. Slope rows 0..q-2 are those of the known nodes alone,
     known_map = hyman_slopes(taus[:q], known)[1], which the bootstrap grows
-    node by node (_grow_slope_map) and which is built here when not given.
+    node by node (_grow_slope_map).
     Only the slope rows of nodes q-1 and q depend on x, and node q-1's
     reads nodes q-2..q, so each call recomputes those two rows on that
     window of nodes.
     """
     q, rows = len(known), len(times)
-    if known_map is None:
-        known_map = hyman_slopes(taus[:q], known)[1]
     values_part, slopes_part = (a[:rows, : q + 1] for a in hermite)
     slope_map = np.zeros((q + 1, q + 1))
     slope_map[:q, :q] = known_map
@@ -782,8 +777,8 @@ def strip_global(schedule, quotes, config=None):
             f"the global solver fits relative price errors, which quotes priced at 0 lack: {months}"
         )
     taus = ladder.node_times(config.placement)
-    vol_map = VolMap.of(config)
-    core = EvaluationCore(ladder, taus, config, vol_map)
+    core = EvaluationCore(ladder, taus, config)
+    vol_map = core.vol_map
 
     # linear-family bootstrap start: family-neutral and free of the spline
     # overshoot a same-family start can bake into the frozen directions

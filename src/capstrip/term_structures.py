@@ -103,12 +103,6 @@ class ZeroCurve:
     def discount_factor(self, t):
         return np.exp(self.log_discount(t))
 
-    def zero_rate(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(t != 0.0, -self.log_discount(t) / np.where(t != 0.0, t, 1.0), self._z[0])
-        return z
-
     def forward_rate(self, t1, t2):
         """Simple-compounded forward over [t1, t2]."""
         t1 = np.asarray(t1, dtype=float)

@@ -41,5 +41,4 @@ def quotes_k200(quotes):
 
 @pytest.fixture(scope="session")
 def clean_quotes(quotes):
-    cleaned, _ = cs.remove_outliers(quotes)
-    return cleaned
+    return quotes.drop(cs.detect_outliers(quotes).flagged)

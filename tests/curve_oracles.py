@@ -5,11 +5,14 @@ searchsorted indexing, the kernel families as the first node value plus
 every node's increment times its ramp, linear by np.interp, cubic by
 scipy's natural CubicSpline and hyman by scipy's CubicHermiteSpline on
 hyman_slopes' node slopes. Tests hold VolCurve and basis_matrix to them.
+cap_price_from_flat_vol prices one cap alone, as diagnostics.cap_prices
+prices each cap of a ladder.
 """
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
+from capstrip.bachelier import price_vector
 from capstrip.vol_interpolation import TransitionKernel, hyman_slopes
 
 KERNELS = {
@@ -45,3 +48,17 @@ def family_oracle(family, taus, values, t, beta=1.0, delta=1.0 / 12.0):
     if family == "cubic":
         return CubicSpline(taus, values, bc_type="natural")(clamped)
     return CubicHermiteSpline(taus, values, hyman_slopes(taus, values)[0])(clamped)
+
+
+def cap_price_from_flat_vol(schedule, maturity_months, flat_vol, strike):
+    """Price of one cap with a single vol applied to all its caplets."""
+    n = schedule.caplet_count(maturity_months)
+    prices = price_vector(
+        schedule.forwards[:n],
+        strike,
+        schedule.fixing_times[:n],
+        schedule.accruals[:n],
+        schedule.discounts[:n],
+        np.full(n, flat_vol),
+    )
+    return float(np.sum(prices))

@@ -59,13 +59,22 @@ def test_price_monotone_in_vol():
     assert np.all(np.diff(prices) > 0.0)
 
 
+def _table(inputs):
+    """The one-caplet CapletTable of these terms."""
+    forward, expiry, accrual, discount = (
+        np.array([x]) for x in (inputs.forward, inputs.expiry, inputs.accrual, inputs.discount)
+    )
+    return cs.bachelier.CapletTable(forward, inputs.strike, expiry, accrual, discount)
+
+
 def test_vega_matches_central_differences():
     h = 1e-7
     for forward, strike, t in [(0.02, 0.02, 1.0), (0.025, 0.01, 0.5), (0.01, 0.02, 10.0)]:
         inputs = make_inputs(forward=forward, strike=strike, expiry=t)
         for vol in (0.003, 0.01, 0.04):
             fd = (cs.price(inputs, vol + h) - cs.price(inputs, vol - h)) / (2.0 * h)
-            assert cs.vega(inputs, vol) == pytest.approx(fd, rel=1e-6)
+            vega = _table(inputs).price_vega(np.array([vol]))[1][0]
+            assert vega == pytest.approx(fd, rel=1e-6)
 
 
 @given(
@@ -138,8 +147,10 @@ def test_implied_vol_vector_round_trip(draws):
 )
 @settings(max_examples=200, deadline=None)
 def test_time_value_non_negative(moneyness_bp, vol_bp):
+    """No caplet prices below its intrinsic value, with no floor against round-off."""
     inputs = make_inputs(forward=0.02 + moneyness_bp * 1e-4, strike=0.02, expiry=3.0)
-    assert cs.time_value(inputs, vol_bp * 1e-4) >= 0.0
+    table = _table(inputs)
+    assert table.price(np.array([vol_bp * 1e-4]))[0] - table.intrinsic[0] >= 0.0
 
 
 def test_intrinsic_target_gives_zero_vol():
@@ -180,7 +191,7 @@ def test_intrinsic_vector_matches_scalar():
     )
 
 
-def test_vega_vector_matches_the_closed_form():
+def test_price_vega_matches_the_closed_form():
     """vega = accrual * discount * sqrt(T) * phi(d) with d = (F - K) / (vol sqrt(T));
     at zero vol the one-sided limit, phi(0) at the money and zero elsewhere."""
     strike = 0.018
@@ -196,16 +207,20 @@ def test_vega_vector_matches_the_closed_form():
         else:
             d = 0.0 if f == strike else math.inf
         expected.append(a * b * math.sqrt(t) * math.exp(-0.5 * d * d) / SQRT_2PI)
-    vector = cs.vega_vector(forwards, strike, expiries, accruals, discounts, vols)
-    np.testing.assert_allclose(vector, expected, rtol=1e-14, atol=0)
+    table = cs.bachelier.CapletTable(forwards, strike, expiries, accruals, discounts)
+    np.testing.assert_allclose(table.price_vega(vols)[1], expected, rtol=1e-14, atol=0)
+
+
+def _vegas(terms, vols):
+    return cs.bachelier.CapletTable(*terms).price_vega(vols)[1]
 
 
 def _greeks_match_price_and_vega(terms, vols):
-    """CapletTable.price_greeks's prices and vegas are price_vector's and vega_vector's,
-    to the bit."""
+    """CapletTable.price_greeks's prices are price_vector's and its vegas
+    price_vega's, to the bit."""
     prices, vegas, vommas = cs.bachelier.CapletTable(*terms).price_greeks(vols)
     np.testing.assert_array_equal(prices, cs.price_vector(*terms, vols))
-    np.testing.assert_array_equal(vegas, cs.vega_vector(*terms, vols))
+    np.testing.assert_array_equal(vegas, _vegas(terms, vols))
     assert np.all(np.isfinite(vommas))
     return vegas, vommas
 
@@ -225,7 +240,7 @@ def test_table_price_greeks_matches_price_vega_and_differences():
         # zero vol: the one-sided limit, flat vega away from the money, linear price at it
         assert np.all(vommas[vols == 0.0] == 0.0)
         live = vols > 0.0
-        fd = (cs.vega_vector(*terms, vols + h) - cs.vega_vector(*terms, vols - h)) / (2.0 * h)
+        fd = (_vegas(terms, vols + h) - _vegas(terms, vols - h)) / (2.0 * h)
         np.testing.assert_allclose(vommas[live], fd[live], rtol=1e-6)
 
     # far tails: q = |F - K| / s beyond 38, where exp(-q^2/2) underflows, and
@@ -261,7 +276,6 @@ def test_caplet_table_rows_price_as_their_own_table():
         terms = (forwards[rows], strike, expiries[rows], accruals[rows], discounts[rows])
         part = table[rows]
         np.testing.assert_array_equal(part.price(vols[rows]), cs.price_vector(*terms, vols[rows]))
-        np.testing.assert_array_equal(part.vega(vols[rows]), cs.vega_vector(*terms, vols[rows]))
         prices, vegas = part.price_vega(vols[rows])
         greeks = cs.bachelier.CapletTable(*terms).price_greeks(vols[rows])
         np.testing.assert_array_equal(prices, greeks[0])
@@ -303,7 +317,7 @@ def test_lean_and_masked_kernel_paths_agree_to_the_bit():
     padded_vols = np.append(vols, 0.0)
     assert table._gaussian(vols * table.root_t)[0] is None
     assert padded._gaussian(padded_vols * padded.root_t)[0] is not None
-    for name in ("price", "vega", "price_vega", "price_greeks"):
+    for name in ("price", "price_vega", "price_greeks"):
         lean = _kernel_outputs(table, name, vols)
         masked = _kernel_outputs(padded, name, padded_vols)
         for got, want in zip(lean, masked, strict=True):
@@ -312,6 +326,6 @@ def test_lean_and_masked_kernel_paths_agree_to_the_bit():
     subnormal = vols.copy()
     subnormal[[1, 2, 4]] = 1e-310  # at, in and out of the money
     assert table._gaussian(subnormal * table.root_t)[0] is not None
-    for name in ("price", "vega", "price_vega", "price_greeks"):
+    for name in ("price", "price_vega", "price_greeks"):
         for outputs in _kernel_outputs(table, name, subnormal):
             assert np.all(np.isfinite(outputs))

@@ -7,6 +7,7 @@ codes; the numerical engines have their own suites.
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from capstrip import (
     ZeroCurve,
     bootstrap_sequential,
     build_schedule,
-    remove_outliers,
+    detect_outliers,
     strip_global,
     strip_time_value,
 )
@@ -434,6 +435,26 @@ def test_global_rejects_quotes_priced_at_zero(tmp_path, command, ladder):
     assert result.stderr.rstrip().endswith(f"priced at 0 lack: {ladder[2]}")
 
 
+# a quarterly ladder whose 24M cap prices at 7.5e-233 at a 1500 bp strike,
+# a price whose square underflows
+TINY_PRICED_LADDER = ("maturity_months,flat_vol_bp\n24,30\n36,35\n48,40\n60,45\n", "1500", "")
+
+
+@pytest.mark.parametrize("method", ["tv", "bootstrap", "global"])
+def test_a_price_whose_square_underflows_keeps_the_floor(tmp_path, method):
+    """Every engine strips the ladder with exit 0 and no warning, and writes
+    its floor: 0, as the ladder has no arbitrage."""
+    out = tmp_path / "out"
+    args = _zero_priced_args(tmp_path, TINY_PRICED_LADDER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _invoke(
+            ["run", *args, "--tenor-months", "3", "--method", method, "--out", str(out)]
+        )
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "strip.json").read_text())["floor_cost"] == 0.0
+
+
 def test_non_finite_curve_rate_is_rejected(tmp_path):
     rows = (DATA / "libor1m_zero_curve.csv").read_text().splitlines()
     rows = ["12,nan" if row.startswith("12,") else row for row in rows]
@@ -623,7 +644,7 @@ def test_fixture_curves_print_as_the_format_does(ladder):
     discount = ZeroCurve.from_csv(DATA / "ois_zero_curve.csv")
     quotes = CapQuoteSet.from_csv(DATA / "cap_quotes.csv")
     if ladder == "clean":
-        quotes = remove_outliers(quotes)[0]
+        quotes = quotes.drop(detect_outliers(quotes).flagged)
     schedule = build_schedule(forward, discount, 180)
     runs = [(strip_time_value, StripConfig())]
     runs += [(bootstrap_sequential, StripConfig(family=family)) for family in FAMILIES]

@@ -1,12 +1,16 @@
 """Quote decomposition, arbitrage flags, and outlier scores."""
 
+import warnings
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import lsq_linear
 
 import capstrip as cs
+from curve_oracles import cap_price_from_flat_vol
 
 
 def test_violations_at_zero_strike(schedule, quotes):
@@ -46,7 +50,8 @@ def test_outlier_scores_on_fixture(quotes):
 
 
 def test_remove_outliers_drops_flagged(quotes):
-    cleaned, report = cs.remove_outliers(quotes)
+    report = cs.detect_outliers(quotes)
+    cleaned = quotes.drop(report.flagged)
     assert report.flagged == [3, 24]
     assert len(cleaned) == len(quotes) - 2
     assert 3 not in cleaned.maturities_months
@@ -130,7 +135,7 @@ def test_cap_price_matches_caplet_sum(schedule, quotes):
         schedule.discounts[:n],
         np.full(n, vol),
     )
-    direct = cs.cap_price_from_flat_vol(schedule, months, vol, quotes.strike)
+    direct = cs.cap_prices(schedule, cs.CapQuoteSet([months], [vol], quotes.strike))[0]
     assert direct == pytest.approx(float(np.sum(caplets)), rel=1e-15)
 
 
@@ -151,7 +156,7 @@ def test_quote_set_validation():
 def _per_quote_prices(schedule, quotes):
     return np.array(
         [
-            cs.cap_price_from_flat_vol(schedule, m, v, quotes.strike)
+            cap_price_from_flat_vol(schedule, m, v, quotes.strike)
             for m, v in zip(quotes.maturities_months, quotes.flat_vols)
         ]
     )
@@ -176,19 +181,63 @@ _INCREMENTS_AND_PRICES = st.lists(
 )
 
 
+def _exact_floor(time_values, prices):
+    """The arbitrage floor in exact rational arithmetic, by the min-max
+    formula of isotonic regression (Barlow et al., 1972): the best
+    non-decreasing fit at quote k, weights 1 / P^2, is the largest over
+    i <= k of the least over j >= k of the weighted mean of quotes i..j.
+    Clipped at zero, it is the best non-negative fit."""
+    values = [Fraction(v) for v in time_values]
+    weights = [1 / Fraction(p) ** 2 for p in prices]
+    total_weight = [0, *accumulate(weights)]
+    total = [0, *accumulate(w * v for w, v in zip(weights, values))]
+    n = len(values)
+
+    def least_means(i):
+        """[the least weighted mean of quotes i..j over j >= k, for k = i..n-1]"""
+        ends = range(i + 1, n + 1)
+        means = [(total[j] - total[i]) / (total_weight[j] - total_weight[i]) for j in ends]
+        return list(accumulate(reversed(means), min))[::-1]
+
+    least = [least_means(i) for i in range(n)]
+    fit = [max(0, *(least[i][k - i] for i in range(k + 1))) for k in range(n)]
+    return sum(w * (f - v) ** 2 for w, f, v in zip(weights, fit, values))
+
+
 @given(_INCREMENTS_AND_PRICES)
+@example([(3.0, 1.0), (13.0, 1.0), (1.0, 3.0), (-6.103515625e-05, 1.0)])
 @settings(max_examples=60, deadline=None)
 def test_isotonic_floor_is_the_best_non_negative_increments(quotes):
-    """The floor against an independent oracle: bounded least squares on
-    non-negative cumulative increments, each miss relative to its price."""
+    """The floor against an independent oracle in exact arithmetic: the
+    cost of the best non-negative, non-decreasing time values, each miss
+    relative to its price."""
     increments_bp, prices_bp = (np.array(column) for column in zip(*quotes))
     time_values, prices = np.cumsum(increments_bp) * 1e-4, prices_bp * 1e-4
-    cumulative = np.tril(np.ones((len(prices), len(prices))))
-    oracle = lsq_linear(
-        cumulative / prices[:, None], time_values / prices, bounds=(0.0, np.inf),
-        method="bvls", tol=1e-14,
-    )
     floor = cs.isotonic_floor(time_values, prices)
-    assert floor == pytest.approx(2.0 * oracle.cost, rel=1e-10, abs=1e-24)
+    oracle = float(_exact_floor(time_values, prices))
+    assert floor == pytest.approx(oracle, rel=1e-10, abs=1e-24)
     if np.all(np.diff(time_values, prepend=0.0) >= 0.0):
         assert floor == 0.0
+
+
+def test_isotonic_floor_weighs_prices_whose_square_underflows(forward_curve, discount_curve):
+    """At a 1500 bp strike a quarterly ladder's 24M and 27M caps price at
+    7.5e-233 and 1.3e-237, so 1 / P^2 overflows, and its 48M and 60M caps
+    weigh nothing beside them. The 27M quote falls, and pools with the 24M
+    one; the floor is the exact one, with no warning. Without the 27M quote
+    the ladder has no arbitrage, and its floor is 0."""
+    schedule = cs.build_schedule(forward_curve, discount_curve, 60, tenor_months=3)
+    months, vols_bp = np.array([24, 27, 36, 48, 60]), np.array([30.0, 28, 35, 40, 45])
+
+    def floor(keep):
+        quotes = cs.CapQuoteSet(months[keep], vols_bp[keep] * 1e-4, 0.15)
+        prices = cs.cap_prices(schedule, quotes)  # all time value, far out of the money
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cs.isotonic_floor(prices, prices), prices
+
+    pooled, prices = floor(slice(None))
+    exact = float(_exact_floor(prices, prices))
+    assert 0.99 < exact < 1.0
+    assert pooled == pytest.approx(exact, rel=1e-10)
+    assert floor([0, 2, 3, 4])[0] == 0.0

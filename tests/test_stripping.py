@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
-from curve_oracles import family_oracle
-from hypothesis import given, settings
+from curve_oracles import cap_price_from_flat_vol, family_oracle
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import capstrip as cs
 from capstrip.cli import _STANDARD_ROWS, compare_methods
-from capstrip.stripping import FLOOR_GAP, PRICE_TOL_BP, CurveBasis, EvaluationCore, Ladder, VolMap
+from capstrip.stripping import FLOOR_GAP, PRICE_TOL_BP, CurveBasis, EvaluationCore, Ladder
 from capstrip.vol_interpolation import basis_matrix, hermite_basis, hyman_slopes
 
 
@@ -15,7 +17,7 @@ def _counts(schedule, months):
     return np.array([schedule.caplet_count(m) for m in months])
 
 
-KERNELS = ("price", "vega", "price_vega", "price_greeks")
+KERNELS = ("price", "price_vega", "price_greeks")
 LOCAL_FAMILIES = ("flat", "flat-linear", "flat-smooth", "cosine", "quintic", "linear")
 
 
@@ -137,6 +139,7 @@ def test_bootstrap_midpoint_flat_is_approximate(schedule, clean_quotes):
     assert result.clamped_months == []
     assert result.max_abs_residual_bp > 1e-3
     assert not result.converged
+    assert result.stop_reason == "approximate"
     refined = cs.strip_global(
         schedule, clean_quotes, cs.StripConfig(family="flat", placement="mid")
     )
@@ -268,7 +271,8 @@ def test_hyman_line_reads_the_prefix_curve_basis(schedule, quotes, clean_quotes,
     scale = ladder_quotes.flat_vols
     for q, rows in enumerate(counts):
         known = values[:q]
-        line, start = cs.stripping._hyman_line(hermite, taus, times[:rows], known)
+        known_map = hyman_slopes(taus[:q], known)[1]
+        line, start = cs.stripping._hyman_line(hermite, taus, times[:rows], known, known_map)
         if q >= 2:
             assert times[start - 1] <= taus[q - 2] < times[start]
         else:
@@ -366,7 +370,7 @@ def test_global_start_bootstraps_the_nodes_alone(
 def test_jacobian_makes_no_kernel_pass(monkeypatch, schedule, clean_quotes, family):
     config = cs.StripConfig(family=family, placement="mid")
     taus = _fixture_nodes(clean_quotes)
-    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config, VolMap())
+    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config)
     x = 70e-4 + 8e-4 * np.sin(np.arange(len(clean_quotes)))
     passes = _count_kernel_passes(monkeypatch)
     point = core.evaluate(x)
@@ -404,7 +408,8 @@ def _bracketed_nodes(schedule, ladder_quotes, result):
         table = full_table[:rows]
 
         def cap_price(x, basis=basis, table=table, q=q):
-            return table.price(np.maximum(basis(np.append(nodes[:q], x)), 0.0)).sum()
+            values = np.append(nodes[:q], x)
+            return table.price(np.maximum(basis.matrix(values) @ values, 0.0)).sum()
 
         node, at_clamp = _bracketed_node(cap_price, market[q])
         bracketed.append(node)
@@ -566,7 +571,7 @@ def test_round_trip_recovers_known_nodes(schedule, quotes):
     flats = np.array(
         [
             brentq(
-                lambda v: cs.cap_price_from_flat_vol(schedule, m, v, 0.0) - p,
+                lambda v: cap_price_from_flat_vol(schedule, m, v, 0.0) - p,
                 1e-6,
                 0.05,
                 xtol=1e-16,
@@ -587,8 +592,7 @@ def test_round_trip_recovers_known_nodes(schedule, quotes):
     assert boot.max_abs_residual_bp <= 1e-10
 
 
-# at the 200 bp strike the caplets sit near the money; far in the money a
-# node can move its cap's price by less than the price's round-off
+# near the forwards, though a short caplet can still sit far out of the money
 ROUND_TRIP_STRIKE = 0.02
 
 
@@ -600,35 +604,54 @@ def tenor_schedules(forward_curve, discount_curve):
 
 
 @st.composite
-def _exact_ladders(draw):
-    """A local family, its beta, at-maturity nodes on a 1M or 3M grid, and node values."""
+def _exact_ladders(draw, schedules):
+    """A local family, its beta, at-maturity nodes on a 1M or 3M grid, node
+    values, and the prices of the caplets on their curve.
+
+    A node is read back from its cap's price, so it is drawn only where its
+    own caplets move that price by more than its round-off: a move of each
+    node by the test's 1e-9 relative tolerance must move its cap's price by
+    1e-14 of that price, about a hundred times its round-off. At the 200 bp
+    strike a short caplet can sit far out of the money, and then it does
+    not: flat nodes of 80 and 30 bp at 2M and 3M price the 3M caplet at
+    1.98e-25 bp, so its node clamps at 0.
+    """
     family = draw(st.sampled_from(LOCAL_FAMILIES))
     beta = draw(st.floats(min_value=0.0, max_value=1.0))
     tenor = draw(st.sampled_from([1, 3]))
     steps = st.integers(min_value=2, max_value=40)
     months = np.array(sorted(draw(st.lists(steps, min_size=1, max_size=8, unique=True)))) * tenor
     values_bp = st.floats(min_value=30.0, max_value=200.0)
-    values = draw(st.lists(values_bp, min_size=len(months), max_size=len(months)))
-    return family, beta, tenor, months, np.array(values) * 1e-4
-
-
-@given(_exact_ladders())
-@settings(max_examples=25, deadline=None)
-def test_bootstrap_round_trip_recovers_the_nodes(tenor_schedules, ladder):
-    """Caps priced off a known curve, quoted as flat vols, bootstrap back to its nodes."""
-    family, beta, tenor, months, values = ladder
-    schedule = tenor_schedules[tenor]
+    values = np.array(draw(st.lists(values_bp, min_size=len(months), max_size=len(months)))) * 1e-4
+    schedule = schedules[tenor]
     taus = cs.place_nodes(months, tenor, "maturity")
     counts = _counts(schedule, months)
     n = counts[-1]
-    curve = cs.VolCurve(family, taus, values, beta=beta, delta=tenor / 12.0)
-    prices = cs.price_vector(
-        schedule.forwards[:n], ROUND_TRIP_STRIKE, schedule.fixing_times[:n],
-        schedule.accruals[:n], schedule.discounts[:n], curve(schedule.fixing_times[:n]),
+    times = schedule.fixing_times[:n]
+    curve = cs.VolCurve(family, taus, values, beta=beta, delta=tenor / 12.0)(times)
+    table = cs.bachelier.CapletTable(
+        schedule.forwards[:n], ROUND_TRIP_STRIKE, times, schedule.accruals[:n],
+        schedule.discounts[:n],
     )
+    prices, vegas = table.price_vega(curve)
+    # d(cap q)/d(node q), on caplets that read no later node
+    weights = basis_matrix(family, taus, times, beta, tenor / 12.0)
+    slopes = np.cumsum(vegas[:, None] * weights, axis=0)[counts - 1].diagonal()
+    assume(np.all(slopes * values * 1e-9 > 1e-14 * np.cumsum(prices)[counts - 1]))
+    return family, beta, tenor, months, values, prices
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_bootstrap_round_trip_recovers_the_nodes(tenor_schedules, data):
+    """Caps priced off a known curve, quoted as flat vols, bootstrap back to its nodes."""
+    family, beta, tenor, months, values, prices = data.draw(_exact_ladders(tenor_schedules))
+    schedule = tenor_schedules[tenor]
+    counts = _counts(schedule, months)
+
     def flat_vol(month, price):
         return brentq(
-            lambda v: cs.cap_price_from_flat_vol(schedule, month, v, ROUND_TRIP_STRIKE) - price,
+            lambda v: cap_price_from_flat_vol(schedule, month, v, ROUND_TRIP_STRIKE) - price,
             1e-4, 0.05, xtol=1e-16, rtol=8.9e-16,
         )
 
@@ -770,7 +793,7 @@ def test_curve_basis_reproduces_the_family(schedule, quotes, family):
         values = values * 1e-4
         expected = family_oracle(family, taus, values, fixings, 0.5, 1.0 / 12.0)
         curve = cs.VolCurve(family, taus, values, beta=0.5, delta=1.0 / 12.0)(fixings)
-        for got in (basis(values), curve):
+        for got in (basis.matrix(values) @ values, curve):
             worst = np.max(np.abs(got - expected))
             assert worst <= 1e-14 * np.max(np.abs(expected)), family
 
@@ -794,7 +817,7 @@ def test_hyman_slope_map_covers_every_clamp_kind(quotes):
 def test_core_jacobian_matches_central_differences(schedule, clean_quotes, family, positivity):
     config = cs.StripConfig(family=family, placement="mid", positivity=positivity)
     taus = _fixture_nodes(clean_quotes)
-    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config, VolMap.of(config))
+    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config)
     # positive nodes keep the curve off the zero floor; for hyman, points
     # inside a clamp set with no bound active, and with an upper and a
     # lower bound active (nodes 1 and 4)
@@ -924,7 +947,42 @@ def test_raw_rows_stop_at_the_floor_sooner(global_grid, family, positivity, eval
     assert result.iterations < evaluations
 
 
-def test_priced_exactly_when_converged(global_grid):
-    for result in global_grid.values():
+BOOTSTRAP_CONFIGS = [cs.StripConfig(family=family) for family in cs.FAMILIES] + [
+    cs.StripConfig(family="flat", placement="mid")
+]
+
+
+def test_priced_exactly_when_converged(schedule, quotes, clean_quotes, global_grid):
+    """Both node engines read 'priced' exactly when they have converged: the
+    ladder reprices, and no bootstrap node clamped."""
+    bootstraps = [
+        cs.bootstrap_sequential(schedule, chosen, config)
+        for chosen in (quotes, clean_quotes)
+        for config in BOOTSTRAP_CONFIGS
+    ]
+    for result in [*global_grid.values(), *bootstraps]:
         assert (result.stop_reason == "priced") == result.converged, result.config
-        assert result.converged == (result.max_abs_residual_bp <= PRICE_TOL_BP), result.config
+        repriced = result.max_abs_residual_bp <= PRICE_TOL_BP
+        assert result.converged == (repriced and not result.clamped_months), result.config
+    reasons = {result.stop_reason for result in bootstraps}
+    assert reasons == {"priced", "clamped", "approximate"}
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean"])
+@pytest.mark.parametrize("family", ["flat", "linear", "cubic", "hyman"])
+def test_bootstrap_out_of_steps_is_not_priced(
+    monkeypatch, schedule, quotes, clean_quotes, family, ladder
+):
+    """A node that runs out of steps, in the whole-ladder solve or in its own
+    (no shipped ladder does), stops finite inside the bracket, and the
+    result does not read 'priced'."""
+    chosen = quotes if ladder == "raw" else clean_quotes
+    monkeypatch.setattr(cs.stripping, "NEWTON_MAX_ITER", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = cs.bootstrap_sequential(schedule, chosen, cs.StripConfig(family=family))
+    nodes = result.node_values
+    assert np.all(np.isfinite(nodes)), nodes
+    assert np.all((nodes >= 0.0) & (nodes <= cs.stripping.BRACKET_LIMIT)), nodes
+    assert not result.converged
+    assert result.stop_reason != "priced"

@@ -29,8 +29,8 @@ def test_loglinear_forward_piecewise_constant():
 
 
 def test_flat_zero_rate_extrapolation(small_curve):
-    assert small_curve.zero_rate(0.001) == pytest.approx(PILLAR_RATES[0], abs=1e-15)
-    assert small_curve.zero_rate(50.0) == pytest.approx(PILLAR_RATES[-1], abs=1e-15)
+    for t, rate in ((0.001, PILLAR_RATES[0]), (50.0, PILLAR_RATES[-1])):
+        assert -small_curve.log_discount(t) / t == pytest.approx(rate, abs=1e-15)
 
 
 def test_forward_rate_rejects_bad_interval(small_curve):
