@@ -311,8 +311,8 @@ def _strip_csv_text(result):
 
 
 def _json_number(value):
-    """value, or None where it is nan: strict JSON has no nan."""
-    return None if np.isnan(value) else value
+    """value, or None where it is nan or inf: strict JSON has neither."""
+    return value if np.isfinite(value) else None
 
 
 def _strip_json_text(result, config):

@@ -145,32 +145,29 @@ def isotonic_floor(time_values, prices):
     maturity, and each model price misses its market price P by its time
     value's miss. The best such ladder is the weighted isotonic fit of the
     time values, weights 1 / P^2, clipped at zero: pool adjacent
-    violators, each pool kept as (total weight, weighted mean, size). A
-    quote no pool merges keeps its own time value, so the floor of a
-    ladder without arbitrage is exactly 0.
+    violators, each pool kept as (w, e, weighted mean, size), its total
+    weight w * 2**e. A quote no pool merges keeps its own time value, so
+    the floor of a ladder without arbitrage is exactly 0.
 
-    1 / P^2 overflows below a price of about 1e-154. There every weight is
-    scaled by the power of two that puts the least price's near 1, which
-    moves no bit of any mean; a weight that falls out of range is 0, below
-    round-off beside it, and two pools of weight 0 leave the floor nan.
+    1 / P^2 overflows below a price of about 1e-154, so a quote's weight
+    is kept as w = 1 / f^2 and e = -2k, for P = f * 2**k. Two pools merge
+    at the larger exponent, which moves no bit of the mean wherever 1 / P^2
+    is a float.
     """
     prices = np.asarray(prices, dtype=float)
     if not np.all(prices > 0.0):
         return np.nan
-    least = prices.min()
-    scale = 1.0 if least > 1e-150 else math.ldexp(1.0, math.frexp(least)[1])
-    with np.errstate(over="ignore"):
-        weights = 1.0 / (prices / scale) ** 2
     pools = []
-    for weight, value in zip(weights.tolist(), np.asarray(time_values, dtype=float).tolist()):
-        pools.append((weight, value, 1))
+    for price, value in zip(prices.tolist(), np.asarray(time_values, dtype=float).tolist()):
+        fraction, exponent = math.frexp(price)
+        pools.append((1.0 / (fraction * fraction), -2 * exponent, value, 1))
         # merge while the last pool's mean falls below the one before it
-        while len(pools) > 1 and pools[-1][1] < pools[-2][1]:
-            (w1, m1, n1), (w0, m0, n0) = pools.pop(), pools.pop()
-            if w0 + w1 == 0.0:
-                return np.nan
-            pools.append((w0 + w1, (w0 * m0 + w1 * m1) / (w0 + w1), n0 + n1))
-    fit = np.repeat([max(mean, 0.0) for _, mean, _ in pools], [n for *_, n in pools])
+        while len(pools) > 1 and pools[-1][2] < pools[-2][2]:
+            (w1, e1, m1, n1), (w0, e0, m0, n0) = pools.pop(), pools.pop()
+            e = max(e0, e1)
+            w0, w1 = math.ldexp(w0, e0 - e), math.ldexp(w1, e1 - e)
+            pools.append((w0 + w1, e, (w0 * m0 + w1 * m1) / (w0 + w1), n0 + n1))
+    fit = np.repeat([max(mean, 0.0) for *_, mean, _ in pools], [n for *_, n in pools])
     miss = (fit - time_values) / prices
     return float(np.sum(miss * miss))
 

@@ -130,22 +130,24 @@ class StripResult:
 
     @property
     def cost(self):
-        """The global objective: the sum of squared relative price errors."""
-        relative = self.residuals_bp / self.market_prices_bp
-        return float(relative @ relative)
+        """The global objective: the sum of squared relative price errors;
+        inf past the float range, as a miss far above a tiny price can be."""
+        with np.errstate(over="ignore"):
+            relative = self.residuals_bp / self.market_prices_bp
+            return float(relative @ relative)
 
     @property
     def gap_to_floor(self):
         """cost - floor_cost: how far the fit is from the best any
-        non-negative vols reach; at least 0 up to round-off, and nan where
-        the floor is (a quote priced at 0)."""
+        non-negative vols reach; at least 0 up to round-off, nan where the
+        floor is (a quote priced at 0), and inf where the cost is."""
         return self.cost - self.floor_cost if math.isfinite(self.floor_cost) else math.nan
 
     @property
     def max_rel_error(self):
         """The largest |residual| / price: inf or nan where a quote priced at 0 is
-        missed or met."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        missed or met, and inf past the float range."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return float(np.max(np.abs(self.residuals_bp / self.market_prices_bp)))
 
     @property

@@ -455,6 +455,25 @@ def test_a_price_whose_square_underflows_keeps_the_floor(tmp_path, method):
     assert json.loads((out / "strip.json").read_text())["floor_cost"] == 0.0
 
 
+def test_a_cost_past_the_float_range_writes_a_null_gap(tmp_path):
+    """The bootstrap clamps this quarterly ladder's 24M node, at zero vol,
+    and misses its 6.1e-197 bp price by far more than the price: the cost
+    overflows, and strip.json writes the gap to the floor as null. The
+    floor, the 24M quote's miss when the 36M one is met, is 1."""
+    ladder = ("maturity_months,flat_vol_bp\n12,160\n24,45\n36,200\n", "2000", "")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _invoke(
+            ["run", *_zero_priced_args(tmp_path, ladder), "--tenor-months", "3", "--out", str(out)]
+        )
+    assert result.exit_code == 0, result.output
+    payload = json.loads((out / "strip.json").read_text())
+    assert payload["clamped_months"] == [24]
+    assert payload["floor_cost"] == 1.0
+    assert payload["gap_to_floor"] is None
+
+
 def test_non_finite_curve_rate_is_rejected(tmp_path):
     rows = (DATA / "libor1m_zero_curve.csv").read_text().splitlines()
     rows = ["12,nan" if row.startswith("12,") else row for row in rows]
