@@ -11,6 +11,7 @@ the quoted caps, their market prices at the quoted flat vols, and the
 caplet table that prices the curve and reprices the result.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -19,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 # brentq is not called here; perfbench/spans.py wraps stripping.brentq by name
-from scipy.optimize import brentq, least_squares  # noqa: F401
+from scipy.optimize import brentq  # noqa: F401
 
-from . import bachelier, diagnostics
+from . import bachelier, diagnostics, trust_region
 from .term_structures import InputError
 from .vol_interpolation import (
     VolCurve,
@@ -42,9 +43,14 @@ FLOOR_GAP = 1e-9  # the global solver stops within this share of the arbitrage f
 NEWTON_MAX_ITER = 50  # steps per bootstrap node, or passes as the lead; no shipped node takes 10
 NEWTON_TOL = 1e-6  # a relative Halley step this small leaves only round-off (its cube)
 LADDER_TOL = 1e-8  # a relative Newton step this small leaves only round-off (its square)
-# least_squares status -> the stop test that fired (4: ftol and xtol both; -2:
-# the callback's, which stops a repriced ladder too, but that one reads "priced")
-_STOP_TESTS = {-2: "floor", 0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
+# trust_region.solve's status -> the stop test that fired (ftol and xtol both read
+# ftol; a certified stop reads floor, or priced where the ladder reprices)
+_STOP_TESTS = {
+    trust_region.CERTIFIED: "floor", trust_region.MAX_NFEV: "max_nfev", trust_region.GTOL: "gtol",
+    trust_region.FTOL: "ftol", trust_region.XTOL: "xtol", trust_region.FTOL_XTOL: "ftol",
+}
+
+_log = logging.getLogger(__name__)
 
 
 def place_nodes(maturities_months, delta_months=1, placement="maturity"):
@@ -753,11 +759,12 @@ def _hyman_line(hermite, taus, times, known, known_map):
 
 
 def strip_global(schedule, quotes, config=None):
-    """Fit all node values at once by bounded least squares (scipy's TRF).
+    """Fit all node values at once by bounded least squares.
 
     Minimizes the sum of squared relative price errors with the exact
     Jacobian of the evaluation core, starting from the sequential bootstrap
-    values. Positivity modes: 'none' (free nodes), 'exp' (nodes
+    values, by trust_region.solve (scipy's least_squares TRF, step for
+    step). Positivity modes: 'none' (free nodes), 'exp' (nodes
     parameterised as exponentials), 'nonneg' and 'floor' (the nodes bounded
     below at zero or at floor_bp; the evaluated curve is floored there too).
     Two certificates stop the solver early: an iterate that reprices every
@@ -768,7 +775,9 @@ def strip_global(schedule, quotes, config=None):
     is 'priced' when the ladder reprices, 'floor' at the floor, else the
     stop test that fired. A quote priced at 0 (zero flat vol out of the
     money, or a price that underflows) has no relative error, so a ladder
-    with one raises InputError.
+    with one raises InputError; so does a start whose relative errors or
+    Jacobian square past the float range. At DEBUG the fit logs each
+    residual evaluation and its stop (_trace_evaluation).
     """
     config = config or StripConfig()
     ladder = Ladder(schedule, quotes)
@@ -790,45 +799,56 @@ def strip_global(schedule, quotes, config=None):
     # under 'exp' the family interpolates log-vols
     x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)
 
-    last = {}
     floor = ladder.floor_cost
 
     def residuals(x):
-        last["x"], last["point"] = x.copy(), core.evaluate(x)
-        return (last["point"].cap_prices - market) / market
+        point = core.evaluate(x)
+        return (point.cap_prices - market) / market, point
 
-    def evaluated(x):
-        # the Jacobian and each iterate the callback sees are at the point
-        # evaluated last, unless the solver's last trial step was rejected
-        return last["point"] if np.array_equal(x, last["x"]) else core.evaluate(x)
+    def jacobian(point):
+        return core.jacobian(point) / market[:, None]
 
-    def jacobian(x):
-        return core.jacobian(evaluated(x)) / market[:, None]
-
-    def certify(intermediate_result):
-        # scipy passes the iterate's OptimizeResult to a parameter of this name
-        if floor > 0.0 and 2.0 * intermediate_result.cost <= floor * (1.0 + FLOOR_GAP):
-            raise StopIteration
+    def certified(point, cost):
+        if floor > 0.0 and 2.0 * cost <= floor * (1.0 + FLOOR_GAP):
+            return True
         # Ladder.result's repricing test, on the same prices
-        model = evaluated(intermediate_result.x).cap_prices
-        if np.max(np.abs(ladder.residuals_bp(model))) <= PRICE_TOL_BP:
-            raise StopIteration
+        return np.max(np.abs(ladder.residuals_bp(point.cap_prices))) <= PRICE_TOL_BP
 
-    # tolerances near round-off: the stop tests fire only once the fit stalls
-    fit = least_squares(
-        residuals, x0, jac=jacobian, bounds=(lower, np.inf), method="trf", x_scale="jac",
-        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=config.max_iter, callback=certify,
-    )
-    vols = evaluated(fit.x).vols
+    tracing = _log.isEnabledFor(logging.DEBUG)
+    try:
+        fit = trust_region.solve(
+            residuals, jacobian, x0, config.max_iter, lower=lower,
+            certified=certified, trace=_trace_evaluation if tracing else None,
+        )
+    except trust_region.StartNotFinite as exc:
+        months = ", ".join(f"{m}M" for m in quotes.maturities_months[exc.rows])
+        raise InputError(
+            "the global solver's start misses quotes by more than the float range "
+            f"of their relative errors: {months}"
+        ) from None
     values = vol_map(fit.x) if vol_map.log else fit.x
     result = ladder.result(
-        "global", taus, values, vols, config, iterations=fit.nfev,
+        "global", taus, values, fit.point.vols, config, iterations=fit.nfev,
         curve_values=fit.x if vol_map.log else None,
     )
     # whichever test stopped the solver, only a repriced ladder has converged
     result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
     result.stop_reason = "priced" if result.converged else _STOP_TESTS[fit.status]
+    if tracing:
+        _log.debug(
+            "global stop: %s after %d evaluations, gap to floor %.6g",
+            result.stop_reason, result.iterations, result.gap_to_floor,
+        )
     return result
+
+
+def _trace_evaluation(nfev, half_cost, step_norm, radius, accepted):
+    """One DEBUG record per residual evaluation of the global fit, its cost
+    as StripResult.cost counts it (the solver's is half of that)."""
+    _log.debug(
+        "global evaluation %d: cost %.17g, step %.6g, radius %.6g, %s",
+        nfev, 2.0 * half_cost, step_norm, radius, "accepted" if accepted else "rejected",
+    )
 
 
 def strip_time_value(schedule, quotes, config=None):

@@ -435,6 +435,32 @@ def test_global_rejects_quotes_priced_at_zero(tmp_path, command, ladder):
     assert result.stderr.rstrip().endswith(f"priced at 0 lack: {ladder[2]}")
 
 
+# a quarterly ladder whose 24M cap prices at 4.5e-207 bp at a 2068.49 bp
+# strike; the global solver's bootstrap start misses that price by so much
+# more than the price that its relative error squares past the float range
+OVERFLOWING_LADDER = (
+    "maturity_months,flat_vol_bp\n12,158.23\n15,197.42\n24,45.56\n51,195.08\n"
+    "129,145.08\n159,81.22\n162,195.22\n",
+    "2068.49",
+    "24M",
+)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_global_rejects_a_start_past_the_float_range(tmp_path, command):
+    """A start whose cost overflows ends the run with one error line naming
+    the quote, no warning and nothing written; compare stops at its first
+    global row."""
+    out = tmp_path / "out"
+    flags = ["--method", "global"] if command == "run" else []
+    args = [command, *_zero_priced_args(tmp_path, OVERFLOWING_LADDER), "--tenor-months", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _invoke([*args, *flags, "--out", str(out)])
+    _assert_rejected(result, out)
+    assert result.stderr.rstrip().endswith(f"of their relative errors: {OVERFLOWING_LADDER[2]}")
+
+
 # a quarterly ladder whose 24M cap prices at 7.5e-233 at a 1500 bp strike,
 # a price whose square underflows
 TINY_PRICED_LADDER = ("maturity_months,flat_vol_bp\n24,30\n36,35\n48,40\n60,45\n", "1500", "")
