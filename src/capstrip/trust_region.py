@@ -234,8 +234,8 @@ def _cl_scaling_vector(x, g, lower):
 
 def _step_size_to_bound(x, s, lower):
     """step_size_to_bound with no upper bound: the least t >= 0 that puts
-    x + t * s on the bound (inf if none does), and the entries that reach it
-    (-1) or would reach an upper bound at infinity (+1)."""
+    x + t * s on the bound (inf if none does), and sign(s) on the entries
+    that take that step, 0 elsewhere."""
     steps = np.full_like(x, np.inf)
     down = s < 0
     with np.errstate(over="ignore"):
