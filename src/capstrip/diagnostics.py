@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bachelier
 from .term_structures import InputError, _load_csv_columns
@@ -180,6 +179,13 @@ class OutlierReport:
     degenerate: bool = False  # MAD collapsed to zero; scores unusable
 
 
+def _sorted_median(values):
+    """np.median of a sorted vector: its middle entry, or (a + b) / 2 of
+    its middle two, which is the mean np.median takes of them."""
+    middle = len(values) // 2
+    return values[middle] if len(values) % 2 else (values[middle - 1] + values[middle]) / 2
+
+
 def detect_outliers(quotes, window=5, threshold=3.0):
     """Modified Z-scores of the flat vols against a rolling median.
 
@@ -196,14 +202,17 @@ def detect_outliers(quotes, window=5, threshold=3.0):
     vols = quotes.flat_vols
     half = window // 2
     n = len(vols)
-    residual = vols.copy()
-    if n >= window:
-        # the full windows, centred on quotes half..n-half-1, in one call
-        residual[half : n - half] -= np.median(sliding_window_view(vols, window), axis=1)
-    for q in (*range(min(half, n)), *range(max(half, n - half), n)):
-        residual[q] -= np.median(vols[max(0, q - half) : q + half + 1])
-    med = np.median(residual)
-    mad = np.median(np.abs(residual - med))
+    # each quote's window, clamped at the ends, as one sorted row padded with inf
+    index = np.arange(n)[:, None] + np.arange(-half, half + 1)
+    inside = (index >= 0) & (index < n)
+    windows = np.sort(np.where(inside, vols[np.clip(index, 0, n - 1)], np.inf), axis=1)
+    # each window's _sorted_median, among its first `sizes` entries
+    sizes = inside.sum(axis=1)
+    lower = windows[np.arange(n), (sizes - 1) // 2]
+    upper = windows[np.arange(n), sizes // 2]
+    residual = vols - np.where(sizes % 2, lower, (lower + upper) / 2)
+    med = _sorted_median(np.sort(residual))
+    mad = _sorted_median(np.sort(np.abs(residual - med)))
     if mad == 0.0:
         return OutlierReport(
             maturities_months=quotes.maturities_months.copy(),

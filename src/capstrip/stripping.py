@@ -203,9 +203,11 @@ class Ladder:
         """Model minus market cap prices, in bp."""
         return (model - self.market) * 1e4
 
-    def result(self, method, taus, values, caplet_vols, config, **kw):
-        """The StripResult of these caplet vols, repriced against the market."""
-        model = self.cap_sums(self.table.price(caplet_vols))
+    def result(self, method, taus, values, caplet_vols, config, model=None, **kw):
+        """The StripResult of these caplet vols, repriced against the market,
+        unless model holds their cap prices already."""
+        if model is None:
+            model = self.cap_sums(self.table.price(caplet_vols))
         return StripResult(
             method=method,
             quote_months=self.quotes.maturities_months.copy(),
@@ -476,7 +478,7 @@ class _LocalSystem:
         if not self.ends[-1]:
             self.matrix, self.table = weights, ladder.table
         else:
-            tail_rows = np.concatenate([np.arange(h, c) for h, c in zip(self.heads, counts)])
+            tail_rows = np.arange(self.ends[-1]) + np.repeat(self.heads - self.begins, sizes)
             tied = np.cumsum(weights[tail_rows, ::-1], axis=1)[:, ::-1]
             tail = weights[tail_rows] * (nodes < owner[:, None])
             tail[np.arange(len(owner)), owner] = tied[np.arange(len(owner)), owner]
@@ -520,7 +522,10 @@ class _LocalSystem:
 
 def _running_sums(values):
     """Sums of values' first k entries, for k = 0 .. len(values)."""
-    return np.concatenate(([0.0], np.cumsum(values)))
+    sums = np.empty(len(values) + 1)
+    sums[0] = 0.0
+    np.cumsum(values, out=sums[1:])
+    return sums
 
 
 def _solve_local(system, market, starts):
@@ -828,8 +833,8 @@ def strip_global(schedule, quotes, config=None):
         ) from None
     values = vol_map(fit.x) if vol_map.log else fit.x
     result = ladder.result(
-        "global", taus, values, fit.point.vols, config, iterations=fit.nfev,
-        curve_values=fit.x if vol_map.log else None,
+        "global", taus, values, fit.point.vols, config, model=fit.point.cap_prices,
+        iterations=fit.nfev, curve_values=fit.x if vol_map.log else None,
     )
     # whichever test stopped the solver, only a repriced ladder has converged
     result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP

@@ -168,8 +168,18 @@ def solve(residuals, jacobian, x0, max_nfev, lower=-np.inf, certified=None, trac
                 predicted_reduction = -_evaluate_quadratic(J_h, g_h, step_h)
                 step = d * step_h
                 x_new = x + step
-            f_new, point_new = residuals(x_new)
             nfev += 1
+            if not np.isfinite(x_new).all():
+                # a step lost to round-off (Moré's iteration can end in nan on
+                # an SVD whose small singular values underflow) is rejected
+                # unevaluated, as a non-finite residual is; its norm is nan
+                # too, so the radius shrinks by the same factor from itself
+                if trace is not None:
+                    trace(nfev, math.inf, _norm(step), Delta, False)
+                Delta *= 0.25
+                alpha = 0.0
+                continue
+            f_new, point_new = residuals(x_new)
             step_h_norm = _norm(step_h)
 
             if not np.isfinite(f_new).all():
@@ -195,15 +205,16 @@ def solve(residuals, jacobian, x0, max_nfev, lower=-np.inf, certified=None, trac
 
         if actual_reduction > 0:
             x, f, point, cost = x_new, f_new, point_new, cost_new
+        # before the Jacobian, which a certified stop does not use
+        if certified is not None and certified(point, cost):
+            status = CERTIFIED
+            break
+        if actual_reduction > 0:
             J = jacobian(point)
             g = J.T.dot(f)
             # compute_jac_scale, never below the scale already reached
             scale_inv = np.maximum((J**2).sum(axis=0) ** 0.5, scale_inv)
             scale = 1 / scale_inv
-
-        if certified is not None and certified(point, cost):
-            status = CERTIFIED
-            break
 
     return Fit(x, point, nfev, MAX_NFEV if status is None else status)
 
@@ -254,7 +265,9 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10
         denom = s2 + alpha
         p_norm = _norm(suf / denom)
         phi = p_norm - Delta
-        phi_prime = -(suf2 / denom**3).sum() / p_norm
+        # denom**3 can underflow to 0; the nan step that follows is rejected
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_prime = -(suf2 / denom**3).sum() / p_norm
         return phi, phi_prime
 
     suf = s * uf
