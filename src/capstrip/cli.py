@@ -12,17 +12,21 @@ A run writes up to five artifacts under the output directory:
 Bp quantities in CSV output carry 4 decimal places; the JSON sidecar keeps
 full precision. Identical inputs produce byte-identical files.
 
-strip.csv and volcurve_daily.csv (one line per day, up to 36,500) are
-written by one vectorised fixed-point writer (_csv_rows), whose every
-cell is the text "%.4f" % v gives, or "%.6f" % (d / 365) for the day
-column and round(t * 12) for the fixing months. A vol prints as the integer floor(|v| 1e4) + (fraction > 1/2):
-the product errs by at most half an ulp, so only values within 4 ulps of
-a half are in doubt, and those are rounded exactly, half to even, by
-decimal. The day column is the integer (2e6 d + 365) // 730, exact
-because 365 is odd. The writer works in blocks of 2,048 rows; a block
-whose vol column holds a non-finite value, or one whose |v| 1e4 reaches
-2**52 and so has no room for its digits in int64, prints that column by
-`%` value by value.
+Every CSV, compare's compare.csv too, is written by one vectorised
+fixed-point writer (_csv_rows). It works in blocks of 2,048 rows (the
+daily curve runs to 36,500 lines), and fills each block's one
+preallocated rows x words buffer of uint32 words, four NUL-padded ASCII
+bytes each; every column writes its words into its own slice, and the
+NULs are dropped at the end. Every "%.4f" cell comes from _bp_words, and
+is the text "%.4f" % v gives: v prints as the integer
+floor(|v| 1e4) + (fraction > 1/2), and as the product errs by at most
+half an ulp, only values within 4 ulps of a half are in doubt; those are
+rounded exactly, half to even, by decimal. The day column is
+"%.6f" % (d / 365), the integer (2e6 d + 365) // 730, exact because 365
+is odd; fixing months are round(t * 12), and quote months and 0/1 flags
+print as str prints them. A block whose bp cells hold a non-finite
+value, or one whose |v| 1e4 reaches 2**52 and so has no room for its
+digits in int64, prints those cells by `%` value by value.
 
 Exit codes: 0 success; 2 when --strict is set, the outlier policy is off,
 and the quote ladder has arbitrage violations; 1 for any input problem.
@@ -187,16 +191,15 @@ def _word(text):
 
 @functools.cache
 def _digit_words():
-    """Words for 4-digit groups: 0..9999 as "0000".."9999", 10000 + k as
-    k without its leading zeros ("0" for 0), and 20000 + k the same but
-    all NUL for 0. Built on first use, read-only."""
+    """Words for 4-digit groups: 0..9999 as "0000".."9999", then
+    10000 + k as k without its leading zeros ("0" for 0), then 20000, all
+    NUL. Built on first use, read-only."""
     group = np.arange(10_000, dtype=np.uint16)[:, None]
     places = np.array([1000, 100, 10, 1], dtype=np.uint16)
     digits = (group // places % 10 + ord("0")).astype(np.uint8)
-    table = np.zeros((30_000, 4), np.uint8)
+    table = np.zeros((20_001, 4), np.uint8)
     table[:10_000] = digits
     table[10_000:20_000] = np.where((group < places) & (places > 1), 0, digits)
-    table[20_001:] = table[10_001:20_000]
     words = table.view(np.uint32).ravel()
     words.flags.writeable = False
     return words
@@ -220,8 +223,8 @@ def _separators(first, columns):
 def _point_words(digits):
     """Words for the point and the top fraction digits: k as "." and k
     with `digits` digits, for k below 10**digits. Read-only."""
-    words = _digit_words()[: 10**digits] & np.frombuffer(b"\0" * (4 - digits) + b"\xff" * digits, np.uint32)
-    words |= _word("." + "\0" * digits)
+    mask = np.frombuffer(b"\0" * (4 - digits) + b"\xff" * digits, np.uint32)
+    words = _digit_words()[: 10**digits] & mask | _word("." + "\0" * digits)
     words.flags.writeable = False
     return words
 
@@ -259,15 +262,17 @@ def _fixed_words(n, decimals, negative, integers=()):
         out[:, :, 0] = np.where(negative, _MINUS | separators, separators)
         rest, fraction = _divmod(n, 10**decimals) if decimals else (n, None)
         for j in range(int_words):
-            # the lowest group prints 0 as "0", the groups above it as nothing;
-            # a group with nothing above it prints without its leading zeros
-            lead = 10_000 if j == 0 else 20_000
-            if j == int_words - 1:
-                group = rest + lead
+            # a group with nothing above it prints without its leading zeros,
+            # and one above the lowest, with nothing at or above it, not at all
+            if j < int_words - 1:
+                higher, group = _divmod(rest, 10_000)
+                group += 10_000 * (higher == 0)
             else:
-                rest, group = _divmod(rest, 10_000)
-                group += lead * (rest == 0)
+                higher, group = None, rest + 10_000
+            if j:
+                group[rest == 0] = 20_000
             out[:, :, int_words - j] = digit_words[group]
+            rest = higher
         if point_word:
             out[:, :, int_words + 1] = _POINT
         for j in range(frac_words - 1):
@@ -324,8 +329,8 @@ def _bp_words(values, integers=()):
     n = whole.astype(np.int64) + (fraction > 0.5)
     # an ulp of scaled is at most scaled * 2**-52, so this takes in 4 ulps
     for i in np.flatnonzero(np.abs(fraction - 0.5) <= scaled * 2.0**-50):
-        exact = decimal.Decimal(abs(float(values.flat[i]))).quantize(_BP_STEP, decimal.ROUND_HALF_EVEN)
-        n.flat[i] = int(exact.scaleb(4))
+        exact = decimal.Decimal(abs(float(values.flat[i])))
+        n.flat[i] = int(exact.quantize(_BP_STEP, decimal.ROUND_HALF_EVEN).scaleb(4))
     return _fixed_words(n, 4, np.signbit(values), integers)
 
 

@@ -67,6 +67,8 @@ def solve(residuals, jacobian, x0, max_nfev, lower=-np.inf, certified=None, trac
     cost, step_norm, radius, accepted), if given, is told of every residual
     evaluation: the start (step 0, accepted) and each trial step, with the
     trust-region radius it was taken in (cost inf where f is not finite).
+    A trial point that is not finite is rejected without evaluating it,
+    and counts, and is traced, as an evaluation whose f is not finite.
 
     Raises StartNotFinite when the start's cost or a column norm of its
     Jacobian is not finite, and ValueError where least_squares' SVD would
@@ -170,10 +172,11 @@ def solve(residuals, jacobian, x0, max_nfev, lower=-np.inf, certified=None, trac
                 x_new = x + step
             nfev += 1
             if not np.isfinite(x_new).all():
-                # a step lost to round-off (Moré's iteration can end in nan on
-                # an SVD whose small singular values underflow) is rejected
-                # unevaluated, as a non-finite residual is; its norm is nan
-                # too, so the radius shrinks by the same factor from itself
+                # a step lost to round-off (Moré's iteration ends in nan where
+                # the SVD's small singular values underflow) is rejected
+                # unevaluated, as a non-finite residual is. Its norm is nan
+                # too, so the radius shrinks to a quarter of itself, and the
+                # Levenberg-Marquardt parameter, nan as well, restarts at 0
                 if trace is not None:
                     trace(nfev, math.inf, _norm(step), Delta, False)
                 Delta *= 0.25
