@@ -219,31 +219,21 @@ def _separators(first, columns):
     return words
 
 
-@functools.cache
-def _point_words(digits):
-    """Words for the point and the top fraction digits: k as "." and k
-    with `digits` digits, for k below 10**digits. Read-only."""
-    mask = np.frombuffer(b"\0" * (4 - digits) + b"\xff" * digits, np.uint32)
-    words = _digit_words()[: 10**digits] & mask | _word("." + "\0" * digits)
-    words.flags.writeable = False
-    return words
-
-
 def _divmod(n, d):
     """np.divmod(n, d) for int64 n, by one floor division and one
-    multiply-subtract, at about two thirds of np.divmod's time."""
+    multiply-subtract, in about half of np.divmod's time."""
     q = n // d
     return q, n - q * d
 
 
 def _fixed_words(n, decimals, negative, integers=()):
-    """The "%.{decimals}f" cells of the signed n / 10**decimals, n >= 0 in
-    int64, one row of cells per row of n (a column, or rows x columns), as
-    (width, write): write(out, separator) fills out, a rows x width slice
-    of uint32 words, with the cells' text, NUL-padded. Each cell's first
-    word holds its separator, the row's first the given one, and its sign.
-    The columns listed in integers print only their whole part, without
-    the point.
+    """The "%.{decimals}f" cells of the signed n / 10**decimals, for n >= 0
+    in int64 and decimals a multiple of 4, one row of cells per row of n (a
+    column, or rows x columns), as (width, write): write(out, separator)
+    fills out, a rows x width slice of uint32 words, with the cells' text,
+    NUL-padded. Each cell's first word holds its separator, the row's
+    first the given one, and its sign. The columns listed in integers
+    print only their whole part, without the point.
 
     Each 4-digit group takes one divmod, and the top group of the whole
     part none, as it is already below 10**4.
@@ -251,9 +241,8 @@ def _fixed_words(n, decimals, negative, integers=()):
     n = n.reshape(len(n), -1)
     negative = np.reshape(negative, n.shape) if np.ndim(negative) else negative
     int_words = -(-len(str(int(n.max(initial=0)) // 10**decimals)) // 4)
-    frac_words, kept = -(-decimals // 4), decimals % 4
-    point_word = decimals > 0 and not kept
-    cell = 1 + int_words + point_word + frac_words
+    frac_words = decimals // 4
+    cell = 1 + int_words + (decimals > 0) + frac_words
     digit_words = _digit_words()
 
     def write(out, separator):
@@ -273,14 +262,14 @@ def _fixed_words(n, decimals, negative, integers=()):
                 group[rest == 0] = 20_000
             out[:, :, int_words - j] = digit_words[group]
             rest = higher
-        if point_word:
+        if decimals:
             out[:, :, int_words + 1] = _POINT
-        for j in range(frac_words - 1):
-            fraction, group = _divmod(fraction, 10_000)
+        for j in range(frac_words):
+            if j < frac_words - 1:
+                fraction, group = _divmod(fraction, 10_000)
+            else:
+                group = fraction
             out[:, :, -1 - j] = digit_words[group]
-        if frac_words:
-            # the top fraction word: 4 digits after the point word, or fewer after the point
-            out[:, :, -frac_words] = (_point_words(kept) if kept else digit_words)[fraction]
         if integers:
             out[:, list(integers), int_words + 1 :] = 0
 
@@ -334,14 +323,36 @@ def _bp_words(values, integers=()):
     return _fixed_words(n, 4, np.signbit(values), integers)
 
 
-def _day_words(days):
-    """_fixed_words' "%.6f" cells of d / 365 for whole days d.
+@functools.cache
+def _day_fraction_words():
+    """The point and the 6 decimals of r / 365, for r < 365, as two word
+    vectors: the decimals are r * 1e6 / 365 rounded to an integer, and
+    365 is odd, so that quotient is never within 1/730 of a half, far
+    beyond its float error, and (2e6 r + 365) // 730 is that integer
+    exactly. Built on first use, read-only."""
+    top, low = _divmod((2_000_000 * np.arange(365) + 365) // 730, 10_000)
+    # the top word keeps the last two digits of its group, after the point
+    last_two = np.frombuffer(b"\0\0\xff\xff", np.uint32)[0]
+    words = (_digit_words()[top] & last_two | _word(".\0\0"), _digit_words()[low])
+    for vector in words:
+        vector.flags.writeable = False
+    return words
 
-    That text is d * 1e6 / 365 rounded to an integer. 365 is odd, so the
-    quotient is never within 1/730 of a half, far beyond its float error,
-    and (2e6 d + 365) // 730 is that integer exactly.
-    """
-    return _fixed_words((2_000_000 * days + 365) // 730, 6, False)
+
+def _day_words(days):
+    """(width, write) of the "%.6f" cells of d / 365 for whole days d >= 0:
+    the whole part d // 365 as an integer, then the point and decimals of
+    (d % 365) / 365, which _day_fraction_words holds."""
+    whole, rest = _divmod(days, 365)
+    width, write_whole = _fixed_words(whole, 0, False)
+
+    def write(out, separator):
+        write_whole(out[:, :width], separator)
+        top, low = _day_fraction_words()
+        out[:, width] = top[rest]
+        out[:, width + 1] = low[rest]
+
+    return width + 2, write
 
 
 def _int_words(values):
