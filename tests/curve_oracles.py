@@ -6,7 +6,9 @@ every node's increment times its ramp, linear by np.interp, cubic by
 scipy's natural CubicSpline and hyman by scipy's CubicHermiteSpline on
 hyman_slopes' node slopes. Tests hold VolCurve and basis_matrix to them.
 cap_price_from_flat_vol prices one cap alone, as diagnostics.cap_prices
-prices each cap of a ladder. least_squares_global_fit is the global fit as
+prices each cap of a ladder, and flat_vol_oracle inverts that price by
+the benchmark's recipe (perfbench/reference.py: flat_vol).
+least_squares_global_fit is the global fit as
 scipy's least_squares ran it, which capstrip's own trust-region loop must
 match bit for bit.
 """
@@ -15,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from capstrip.bachelier import price_vector
 from capstrip.stripping import (
@@ -75,6 +77,22 @@ def cap_price_from_flat_vol(schedule, maturity_months, flat_vol, strike):
         np.full(n, flat_vol),
     )
     return float(np.sum(prices))
+
+
+def flat_vol_oracle(schedule, maturity_months, price, strike):
+    """The flat vol that prices one cap at price: Brent on a bracket from 0
+    whose top doubles from 1% until it prices above the target. A price
+    not above the zero-vol price has no flat vol (ValueError)."""
+
+    def miss(vol):
+        return cap_price_from_flat_vol(schedule, maturity_months, vol, strike) - price
+
+    if not miss(0.0) < 0.0:
+        raise ValueError("target is not above the cap's intrinsic value")
+    top = 0.01
+    while miss(top) < 0.0:
+        top *= 2.0
+    return brentq(miss, 0.0, top, xtol=1e-18, rtol=8.9e-16)
 
 
 # least_squares status -> the stop test that fired (4: ftol and xtol both; -2:

@@ -23,18 +23,23 @@ from capstrip import (
     ZeroCurve,
     bootstrap_sequential,
     build_schedule,
+    decompose,
     detect_outliers,
     strip_global,
     strip_time_value,
 )
 from capstrip.cli import (
     RunConfig,
+    compare_methods,
     _daily_curve_text,
+    _diagnostics_text,
+    _outliers_text,
     _strip_csv_text,
     evaluated_curve,
     main,
     run_pipeline,
 )
+from capstrip.diagnostics import DiagnosticsReport, OutlierReport
 
 DATA = Path(__file__).parent / "data"
 ARTIFACTS = ("diagnostics.csv", "outliers.csv", "strip.csv", "strip.json", "volcurve_daily.csv")
@@ -461,6 +466,42 @@ def test_global_rejects_a_start_past_the_float_range(tmp_path, command):
     assert result.stderr.rstrip().endswith(f"of their relative errors: {OVERFLOWING_LADDER[2]}")
 
 
+# a quarterly ladder on which the hyman fit at maturity nodes once took a
+# nan step, after the SVD's small singular values underflowed, and walked
+# every node to nan: a nan vol prices as intrinsic, so the step lowered the
+# cost and was accepted
+NAN_STEP_LADDER = (
+    "maturity_months,flat_vol_bp\n27,87.63\n120,125.86\n129,30.94\n", "1771.69", ""
+)
+
+
+def test_global_fit_rejects_a_non_finite_trial_point(tmp_path):
+    """The run ends with finite, strict JSON and exit 0, or with one error
+    line and nothing written; and no warning either way."""
+    out = tmp_path / "out"
+    args = [
+        "run", *_zero_priced_args(tmp_path, NAN_STEP_LADDER), "--tenor-months", "3",
+        "--method", "global", "--family", "hyman", "--nodes", "maturity", "--out", str(out),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _invoke(args)
+    if result.exit_code == 1:
+        _assert_rejected(result, out)
+        return
+    assert result.exit_code == 0, result.output
+    payload = json.loads((out / "strip.json").read_text(), parse_constant=_reject_constant)
+    assert all(math.isfinite(v) for v in payload["node_values_bp"] + payload["residuals_bp"])
+    assert payload["iterations"] <= 200
+    for name in ("strip.csv", "volcurve_daily.csv"):
+        cells = [line.split(",")[1] for line in (out / name).read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"strict JSON has no {name}")
+
+
 # a quarterly ladder whose 24M cap prices at 7.5e-233 at a 1500 bp strike,
 # a price whose square underflows
 TINY_PRICED_LADDER = ("maturity_months,flat_vol_bp\n24,30\n36,35\n48,40\n60,45\n", "1500", "")
@@ -706,3 +747,119 @@ def test_fixture_curves_print_as_the_format_does(ladder):
         peaks.append(max(map(abs, vols_bp)))
     if ladder == "raw":
         assert max(peaks[:-1]) > 1e7
+
+
+def _diagnostics_oracle(report):
+    """diagnostics.csv as one f-string per quote."""
+    lines = [
+        "maturity_months,flat_vol_bp,cap_price_bp,intrinsic_bp,time_value_bp,"
+        "d_price_bp,d_intrinsic_bp,d_time_value_bp,violation"
+    ]
+    for q in range(len(report.maturities_months)):
+        month = int(report.maturities_months[q])
+        cells = [
+            f"{column[q]:.4f}"
+            for column in (
+                report.flat_vols_bp, report.cap_price_bp, report.intrinsic_bp,
+                report.time_value_bp, report.dP_bp, report.dIV_bp, report.dTV_bp,
+            )
+        ]
+        lines.append(f"{month}," + ",".join(cells) + f",{int(month in report.violations)}")
+    return "\n".join(lines) + "\n"
+
+
+def _outliers_oracle(quotes, report):
+    """outliers.csv as one f-string per quote."""
+    lines = ["maturity_months,flat_vol_bp,score,flagged"]
+    for q in range(len(quotes)):
+        month = int(quotes.maturities_months[q])
+        lines.append(
+            f"{month},{quotes.flat_vols[q] * 1e4:.4f},{report.scores[q]:.4f},"
+            f"{int(month in report.flagged)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _near_halves(halves_bp):
+    """Each bp value and the values up to four ulps either side of it."""
+    near = []
+    for half in halves_bp:
+        below = above = half
+        near.append(half)
+        for _ in range(4):
+            below, above = np.nextafter(below, -math.inf), np.nextafter(above, math.inf)
+            near += [below, above]
+    return near
+
+
+# months across the 4-digit groups, then the cells of one row each: -0.0,
+# tiny negatives that print -0.0000, values within 4 ulps of a 4-decimal
+# half, and large ones
+LADDER_MONTHS = [2, 9, 10, 99, 100, 999, 1000, 9999, 10_000, 10_001, 123_456_789]
+ODD_BP = [-0.0, 0.0, -4e-5, -5e-5, -4.9999e-5, 4e-5, 2.0**52 * 1e-8, -9.876543215]
+ODD_BP += _near_halves([0.00005, -1.23455, 99.99995, 1234.56785, -9999.99995])
+
+
+def _ladder_rows(values, columns, seed):
+    """values spread over a len(LADDER_MONTHS) x columns table, shuffled."""
+    cells = np.resize(np.asarray(values, dtype=float), len(LADDER_MONTHS) * columns)
+    return np.random.default_rng(seed).permutation(cells).reshape(len(LADDER_MONTHS), columns)
+
+
+def _report(table, violations):
+    months = np.array(LADDER_MONTHS)
+    return DiagnosticsReport(months, *table.T, violations=violations)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],
+        # |v| 1e4 at or past 2**52 has no room in int64: the block prints by `%`
+        [2.0**52 * 1e-4, -1e20],
+        [2.0**46 + 2.0**-6],  # its float product with 1e4 is not its exact digits
+        [np.nextafter(2.0**52 * 1e-4, 0.0)],
+        [float("nan"), float("inf"), -float("inf")],
+    ],
+)
+def test_ladder_tables_print_as_their_f_strings(extra):
+    """diagnostics.csv and outliers.csv equal their f-string texts cell for
+    cell: bp cells as "%.4f", months and flags as integers."""
+    values = [float(v) for v in ODD_BP] + extra
+    for seed in range(4):
+        table = _ladder_rows(values, 7, seed)
+        for violations in ([], [2], [9, 10_000, 123_456_789], LADDER_MONTHS):
+            report = _report(table, violations)
+            assert _diagnostics_text(report) == _diagnostics_oracle(report)
+        vols_bp = np.abs(_ladder_rows(ODD_BP, 1, seed)[:, 0])  # finite, as quotes are
+        quotes = CapQuoteSet(np.array(LADDER_MONTHS), vols_bp * 1e-4)
+        for flagged in ([], [10, 999]):
+            outliers = OutlierReport(quotes.maturities_months, table[:, 1], flagged)
+            assert _outliers_text(quotes, outliers) == _outliers_oracle(quotes, outliers)
+    # each odd cell shows up as the format prints it
+    text = _diagnostics_text(_report(_ladder_rows(values, 7, 0), [9]))
+    assert ",-0.0000," in text and "\n123456789," in text and "\n9999," in text
+    assert ",1234.5678," in text and ",1234.5679," in text
+
+
+def test_fixture_ladder_tables_print_as_their_f_strings(tmp_path):
+    """The fixture run's diagnostics.csv and outliers.csv, and compare.csv,
+    are the f-string texts."""
+    out = tmp_path / "out"
+    assert _invoke(["run", *_market_args(), "--out", str(out)]).exit_code == 0
+    forward = ZeroCurve.from_csv(DATA / "libor1m_zero_curve.csv")
+    discount = ZeroCurve.from_csv(DATA / "ois_zero_curve.csv")
+    quotes = CapQuoteSet.from_csv(DATA / "cap_quotes.csv")
+    report = decompose(build_schedule(forward, discount, 180), quotes)
+    assert report.violations
+    assert (out / "diagnostics.csv").read_text() == _diagnostics_oracle(report)
+    outliers = detect_outliers(quotes)
+    assert outliers.flagged
+    assert (out / "outliers.csv").read_text() == _outliers_oracle(quotes, outliers)
+
+    result = _invoke(["compare", *_market_args(), "--out", str(out)])
+    rows = compare_methods(build_schedule(forward, discount, 180), quotes)
+    lines = ["method,min_vol_bp,min_node_bp,reprice_err"]
+    lines += [f"{label},{vol:.4f},{node:.4f},{err:.2e}" for label, vol, node, err in rows]
+    assert result.exit_code == 0
+    assert (out / "compare.csv").read_text() == "\n".join(lines) + "\n"

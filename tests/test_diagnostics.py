@@ -90,8 +90,9 @@ def _looped_outlier_scores(vols, window, threshold, months):
 
 
 def test_rolling_median_matches_the_per_quote_loop(quotes):
-    """The one-call rolling median scores every ladder as the per-quote loop
-    does, to the bit: short ladders (n < window) and one-quote ladders
+    """The medians taken from sorted windows score every ladder as the
+    per-quote np.median loop does, to the bit: short ladders (n < window,
+    up to windows wider than twice the ladder) and one-quote ladders
     included, and ties that collapse the MAD."""
     rng = np.random.default_rng(7)
     ladders = [quotes]
@@ -103,7 +104,7 @@ def test_rolling_median_matches_the_per_quote_loop(quotes):
         ladders.append(cs.CapQuoteSet(np.arange(2, n + 2), vols * 1e-4))
     degenerate = 0
     for ladder in ladders:
-        for window in (1, 3, 5, 7):
+        for window in (1, 3, 5, 7, 121):
             report = cs.detect_outliers(ladder, window=window, threshold=2.0)
             scores, flagged, flat = _looped_outlier_scores(
                 ladder.flat_vols, window, 2.0, ladder.maturities_months
@@ -111,7 +112,7 @@ def test_rolling_median_matches_the_per_quote_loop(quotes):
             assert report.scores.tobytes() == scores.tobytes()
             assert (report.flagged, report.degenerate) == (flagged, flat)
             degenerate += flat
-    assert 0 < degenerate < 4 * len(ladders)
+    assert 0 < degenerate < 5 * len(ladders)
 
 
 def test_outlier_parameter_validation(quotes):

@@ -143,3 +143,36 @@ def test_solver_trace_is_silent_by_default(schedule, quotes, caplog):
     with caplog.at_level(logging.INFO):
         cs.strip_global(schedule, quotes, cs.StripConfig(family="linear", placement="mid"))
     assert not caplog.records
+
+
+def test_a_non_finite_trial_point_is_rejected_unevaluated(monkeypatch):
+    """A nan step, as Moré's iteration gives where the SVD's small singular
+    values underflow, counts as an evaluation whose residuals are not
+    finite: it is not evaluated, the radius shrinks to a quarter and the
+    Levenberg-Marquardt parameter restarts at 0; the fit then goes on from
+    the point it holds, to the plain loop's least cost."""
+    fun, jac, x0 = _tanh_problem(0)
+    expected = trust_region.solve(lambda x: (fun(x), x), jac, x0, 200)
+    solve_step = trust_region._solve_lsq_trust_region
+    calls = []
+
+    def first_step_lost(n, m, uf, s, V, Delta, alpha):
+        calls.append((Delta, alpha))
+        step, alpha = solve_step(n, m, uf, s, V, Delta, alpha)
+        return (np.full(n, np.nan), np.nan) if len(calls) == 1 else (step, alpha)
+
+    monkeypatch.setattr(trust_region, "_solve_lsq_trust_region", first_step_lost)
+    evaluated, traced = [], []
+
+    def residuals(x):
+        evaluated.append(x)
+        return fun(x), x
+
+    fit = trust_region.solve(residuals, jac, x0, 200, trace=lambda *record: traced.append(record))
+    assert all(np.isfinite(x).all() for x in evaluated)
+    assert np.isfinite(fit.x).all()
+    assert traced[1][1] == np.inf and traced[1][4] is False
+    assert calls[1] == (0.25 * calls[0][0], 0.0)
+    assert fit.nfev == len(evaluated) + 1
+    cost, least = (0.5 * fun(x).dot(fun(x)) for x in (fit.x, expected.x))
+    assert cost == pytest.approx(least, rel=1e-12)
