@@ -158,7 +158,7 @@ def _ladder_table(header, months, bp_columns, listed):
     and the flag printed whole."""
     listed = set(listed)
     flags = [month in listed for month in months.tolist()]
-    table = np.column_stack((months, *bp_columns, flags))
+    table = np.array((months, *bp_columns, flags), dtype=float).T
     return _csv_rows(header, (functools.partial(_bp_words, integers=(0, -1)), table))
 
 
@@ -228,9 +228,9 @@ def _divmod(n, d):
 
 def _fixed_words(n, decimals, negative, integers=()):
     """The "%.{decimals}f" cells of the signed n / 10**decimals, for n >= 0
-    in int64 and decimals a multiple of 4, one row of cells per row of n (a
-    column, or rows x columns), as (width, write): write(out, separator)
-    fills out, a rows x width slice of uint32 words, with the cells' text,
+    in int64 and decimals 0 or 4, one row of cells per row of n (a column,
+    or rows x columns), as (width, write): write(out, separator) fills
+    out, a rows x width slice of uint32 words, with the cells' text,
     NUL-padded. Each cell's first word holds its separator, the row's
     first the given one, and its sign. The columns listed in integers
     print only their whole part, without the point.
@@ -241,8 +241,7 @@ def _fixed_words(n, decimals, negative, integers=()):
     n = n.reshape(len(n), -1)
     negative = np.reshape(negative, n.shape) if np.ndim(negative) else negative
     int_words = -(-len(str(int(n.max(initial=0)) // 10**decimals)) // 4)
-    frac_words = decimals // 4
-    cell = 1 + int_words + (decimals > 0) + frac_words
+    cell = 1 + int_words + 2 * (decimals > 0)  # then the point and the 4 decimals
     digit_words = _digit_words()
 
     def write(out, separator):
@@ -264,12 +263,7 @@ def _fixed_words(n, decimals, negative, integers=()):
             rest = higher
         if decimals:
             out[:, :, int_words + 1] = _POINT
-        for j in range(frac_words):
-            if j < frac_words - 1:
-                fraction, group = _divmod(fraction, 10_000)
-            else:
-                group = fraction
-            out[:, :, -1 - j] = digit_words[group]
+            out[:, :, int_words + 2] = digit_words[fraction]
         if integers:
             out[:, list(integers), int_words + 1 :] = 0
 
@@ -355,16 +349,11 @@ def _day_words(days):
     return width + 2, write
 
 
-def _int_words(values):
-    """_fixed_words' cells of integers (or booleans, as 0 and 1), as str prints them."""
-    values = np.asarray(values, dtype=np.int64)
-    return _fixed_words(np.abs(values), 0, values < 0)
-
-
 def _month_words(times):
-    """_int_words' cells of round(t * 12) for times t in years; np.rint
+    """_fixed_words' cells of round(t * 12) for times t in years; np.rint
     rounds halves to even, as round does."""
-    return _int_words(np.rint(times * 12.0))
+    months = np.rint(times * 12.0).astype(np.int64)
+    return _fixed_words(np.abs(months), 0, months < 0)
 
 
 def _csv_rows(header, *columns):
