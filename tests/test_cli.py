@@ -247,6 +247,22 @@ def test_runs_are_deterministic(tmp_path):
     assert ja == jb
 
 
+def test_a_rerun_writes_its_artifacts_anew(tmp_path):
+    """Artifacts an earlier run left in the output directory are replaced by
+    new files with the run's bytes; a hard link keeps the old file."""
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert _invoke(["run", *_market_args(), "--out", str(fresh)]).exit_code == 0
+    reused.mkdir()
+    for name in ARTIFACTS:
+        (reused / name).write_text("stale\n" * 100_000)
+    (tmp_path / "linked.csv").hardlink_to(reused / "strip.csv")
+    assert _invoke(["run", *_market_args(), "--out", str(reused)]).exit_code == 0
+    for name in ARTIFACTS:
+        if name != "strip.json":  # its config echo holds the output path
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (tmp_path / "linked.csv").read_text() == "stale\n" * 100_000
+
+
 def test_config_file_fills_defaults_but_flags_win(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
