@@ -21,9 +21,10 @@ NULs are dropped at the end. Every "%.4f" cell comes from _bp_words, and
 is the text "%.4f" % v gives: v prints as the integer
 floor(|v| 1e4) + (fraction > 1/2), and as the product errs by at most
 half an ulp, only values within 4 ulps of a half are in doubt; those are
-rounded exactly, half to even, by decimal. The day column is
-"%.6f" % (d / 365), the integer (2e6 d + 365) // 730, exact because 365
-is odd; fixing months are round(t * 12), and quote months and 0/1 flags
+rounded exactly, half to even, by decimal. The day column,
+"%.6f" % (d / 365), is d // 365 and the 6 decimals of r / 365 for
+r = d mod 365, the integer (2e6 r + 365) // 730, exact because 365 is
+odd; fixing months are round(t * 12), and quote months and 0/1 flags
 print as str prints them. A block whose bp cells hold a non-finite
 value, or one whose |v| 1e4 reaches 2**52 and so has no room for its
 digits in int64, prints those cells by `%` value by value.
