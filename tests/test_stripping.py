@@ -697,8 +697,8 @@ def test_tv_and_global_mid_round_trip(tenor_schedules, data):
     """Caps priced off a known curve, quoted as flat vols, reprice within
     1e-9 bp through tv. The global fit on that curve's family at midpoint
     nodes, which can reach the curve itself, reprices them as closely, or
-    says it has not: on about 1 draw in 150 it stalls short of the curve
-    (GLOBAL_MID_STALLS)."""
+    says it has not: on about 1 random draw in 170 it stalls short of the
+    curve (GLOBAL_MID_STALLS)."""
     family, tenor, quotes = data.draw(_priced_ladders(tenor_schedules))
     schedule = tenor_schedules[tenor]
     tv = cs.strip_time_value(schedule, quotes)
