@@ -200,8 +200,9 @@ def detect_outliers(quotes, window=5, threshold=3.0):
     if not threshold > 0:
         raise InputError("threshold must be positive")
     vols = quotes.flat_vols
-    half = window // 2
     n = len(vols)
+    # a window wider than the ladder, clamped, holds the whole ladder
+    half = min(window // 2, max(n - 1, 0))
     # each quote's window, clamped at the ends, as one sorted row padded with inf
     index = np.arange(n)[:, None] + np.arange(-half, half + 1)
     inside = (index >= 0) & (index < n)

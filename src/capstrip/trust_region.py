@@ -268,8 +268,14 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10
         denom = s2 + alpha
         p_norm = _norm(suf / denom)
         phi = p_norm - Delta
-        phi_prime = -(suf2 / denom**3).sum() / p_norm
-        return phi, phi_prime
+        cube = denom**3
+        # gesdd sorts s descending and alpha >= 0, so the last entry is the least
+        if cube[-1]:
+            return phi, -(suf2 / cube).sum() / p_norm
+        # denom**3 underflows to 0 where the small singular values do; the
+        # nan step that follows is rejected by the caller
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return phi, -(suf2 / cube).sum() / p_norm
 
     suf = s * uf
     s2, suf2 = s**2, suf**2
@@ -279,33 +285,30 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10
         if _norm(p) <= Delta:
             return p, 0.0
 
-    # denom**3 can underflow to 0 where the small singular values do; the
-    # nan step that follows is rejected by the caller
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha_upper = _norm(suf) / Delta
-        if full_rank:
-            phi, phi_prime = phi_and_derivative(0.0)
-            alpha_lower = -phi / phi_prime
-        else:
-            alpha_lower = 0.0
-        if not full_rank and alpha == 0:
+    alpha_upper = _norm(suf) / Delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+
+    for _ in range(max_iter):
+        if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if abs(phi) < rtol * Delta:
+            break
 
-        for _ in range(max_iter):
-            if alpha < alpha_lower or alpha > alpha_upper:
-                alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
-            phi, phi_prime = phi_and_derivative(alpha)
-            if phi < 0:
-                alpha_upper = alpha
-            ratio = phi / phi_prime
-            alpha_lower = max(alpha_lower, alpha - ratio)
-            alpha -= (phi + Delta) * ratio / Delta
-            if abs(phi) < rtol * Delta:
-                break
-
-        p = -V.dot(suf / (s2 + alpha))
-        # scaled onto the trust region's boundary, which it is within rtol of
-        p *= Delta / _norm(p)
+    p = -V.dot(suf / (s2 + alpha))
+    # scaled onto the trust region's boundary, which it is within rtol of
+    p *= Delta / _norm(p)
     return p, alpha
 
 

@@ -115,6 +115,19 @@ def test_rolling_median_matches_the_per_quote_loop(quotes):
     assert 0 < degenerate < 5 * len(ladders)
 
 
+def test_a_window_wider_than_the_ladder_holds_the_whole_ladder(quotes):
+    """A window far wider than the ladder scores as the per-quote loop does,
+    without holding a row of the window's width for each quote."""
+    short = cs.CapQuoteSet([2, 3, 5, 7, 10, 12], np.array([81.0, 95.0, 77.0, 140.0, 88.0, 90.0]) * 1e-4)
+    for ladder in (quotes, short):
+        report = cs.detect_outliers(ladder, window=2**40 + 1, threshold=2.0)
+        scores, flagged, flat = _looped_outlier_scores(
+            ladder.flat_vols, 2**40 + 1, 2.0, ladder.maturities_months
+        )
+        assert report.scores.tobytes() == scores.tobytes()
+        assert (report.flagged, report.degenerate) == (flagged, flat)
+
+
 def test_outlier_parameter_validation(quotes):
     with pytest.raises(cs.InputError):
         cs.detect_outliers(quotes, window=4)
