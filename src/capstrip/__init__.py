@@ -4,7 +4,6 @@ from .bachelier import (
     CapletQuoteInputs,
     NegativeTimeValueError,
     implied_vol,
-    intrinsic_vector,
     price,
     price_vector,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "implied_vol",
     "isotonic_floor",
     "run_pipeline",
-    "intrinsic_vector",
     "place_nodes",
     "price",
     "price_vector",

@@ -158,10 +158,6 @@ def price_vector(forwards, strike, expiries, accruals, discounts, vols):
     return CapletTable(forwards, strike, expiries, accruals, discounts).price(vols)
 
 
-def intrinsic_vector(forwards, strike, accruals, discounts):
-    return discounts * accruals * np.maximum(forwards - strike, 0.0)
-
-
 def price(inputs, vol):
     """Single caplet price. Requires vol >= 0."""
     if vol < 0.0:

@@ -104,8 +104,8 @@ class RunConfig:
             )
         if self.outliers not in _OUTLIER_POLICIES:
             raise InputError(f"outlier policy must be one of {_OUTLIER_POLICIES}")
-        if not self.mad_threshold > 0.0:
-            raise InputError("MAD threshold must be positive")
+        if not 0.0 < self.mad_threshold < np.inf:
+            raise InputError("MAD threshold must be a finite positive number")
         if self.curve_interp not in _CURVE_INTERPS:
             raise InputError(f"curve interpolation must be one of {_CURVE_INTERPS}")
         if self.far_quote_months < 0:
@@ -300,8 +300,9 @@ def _bp_words(values, integers=()):
     by value.
     """
     values = np.asarray(values, dtype=float)
-    scaled = np.abs(values) * 1e4
-    # a nan maximum fails the test too
+    with np.errstate(over="ignore"):
+        scaled = np.abs(values) * 1e4
+    # a nan maximum fails the test too, as does a value scaled past the float range
     if not scaled.max(initial=0.0) < 2.0**52:
         rows = values.reshape(len(values), -1).tolist()
         formats = ["%.4f"] * len(rows[0])

@@ -1,15 +1,16 @@
-"""Cap quote diagnostics: price decomposition, arbitrage flags, outliers.
+"""Cap quote diagnostics: market prices, decomposition, arbitrage flags, outliers.
 
-A cap quote ladder shares one strike. Prices decompose into intrinsic and
-time value; a drop in time value (or price) from one maturity to the next
-cannot be reproduced by any non-negative caplet vol curve, so those
-increments are flagged as arbitrage violations. Outliers in the flat vols
-themselves are scored with the modified Z-score over a rolling median
-window.
+A cap quote ladder shares one strike; one Ladder prices it for decompose and
+for each stripping engine. Prices decompose into intrinsic and time value; a
+drop in time value (or price) from one maturity to the next cannot be
+reproduced by any non-negative caplet vol curve, so those increments are
+flagged as arbitrage violations. Outliers in the flat vols themselves are
+scored with the modified Z-score over a rolling median window.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,75 @@ def cap_prices(schedule, quotes):
     return np.array([np.sum(cap) for cap in np.split(prices, ends[:-1])])
 
 
+def _running_sums(values):
+    """Sums of values' first k entries, for k = 0 .. len(values)."""
+    sums = np.empty(len(values) + 1)
+    sums[0] = 0.0
+    np.cumsum(values, out=sums[1:])
+    return sums
+
+
+class Ladder:
+    """The market side of one quote ladder, priced once (cap_prices).
+
+    Cap q has counts[q] caplets, price market[q] and intrinsic intrinsic[q].
+    The longest cap's caplets fix at times, table is their CapletTable, and
+    running_intrinsic[k] the intrinsic of the first k; floor_cost is
+    isotonic_floor's. ladder[rows] is the ladder of those quotes, priced as
+    they were. A price past the float range in bp is rejected: no artifact holds it.
+    """
+
+    def __init__(self, schedule, quotes):
+        self.quotes = quotes
+        self.counts = np.array([schedule.caplet_count(m) for m in quotes.maturities_months])
+        self.market = cap_prices(schedule, quotes)
+        if math.isinf(float(self.market.max()) * 1e4):  # a Python float warns of nothing
+            with np.errstate(over="ignore"):
+                past = quotes.maturities_months[np.isinf(self.market * 1e4)]
+            months = ", ".join(f"{m}M" for m in past)
+            raise InputError(f"cap prices past the float range in bp: {months}")
+        n = self.counts[-1]
+        self.times = schedule.fixing_times[:n]
+        self.tenor_months = schedule.tenor_months
+        self.delta = schedule.tenor_months / 12.0
+        self.table = bachelier.CapletTable(
+            schedule.forwards[:n], quotes.strike, self.times,
+            schedule.accruals[:n], schedule.discounts[:n],
+        )
+        self.running_intrinsic = _running_sums(self.table.intrinsic)
+
+    def __getitem__(self, rows):
+        ladder = object.__new__(type(self))
+        months, vols = self.quotes.maturities_months[rows], self.quotes.flat_vols[rows]
+        ladder.quotes = CapQuoteSet(months, vols, self.quotes.strike)
+        ladder.counts, ladder.market = self.counts[rows], self.market[rows]
+        n = ladder.counts[-1]
+        ladder.times, ladder.table = self.times[:n], self.table[:n]
+        ladder.running_intrinsic = self.running_intrinsic[: n + 1]
+        ladder.tenor_months, ladder.delta = self.tenor_months, self.delta
+        return ladder
+
+    @cached_property
+    def intrinsic(self):
+        # np.sum per cap, as cap_prices sums; floor_cost takes the running sums,
+        # as cap_sums sums the engines' caps. Either order in the other's place
+        # moves the last bits of what it writes: tv's nodes, strip.json's floor_cost
+        return np.array([np.sum(self.table.intrinsic[:n]) for n in self.counts])
+
+    def cap_sums(self, caplet_prices):
+        """Cap prices from the prices of the caplets, each cap the first counts[q]."""
+        return _running_sums(caplet_prices)[self.counts]
+
+    @cached_property
+    def floor_cost(self):
+        time_values = self.market - self.running_intrinsic[self.counts]
+        return isotonic_floor(time_values, self.market)
+
+    def residuals_bp(self, model):
+        """Model minus market cap prices, in bp."""
+        return (model - self.market) * 1e4
+
+
 @dataclass
 class DiagnosticsReport:
     """Per-quote decomposition in bp of notional, plus violation flags."""
@@ -104,17 +174,8 @@ def decompose(schedule, quotes):
     Violations are maturities whose price or time value falls below the
     previous quote's (impossible under non-negative caplet vols).
     """
-    price = cap_prices(schedule, quotes)
-    counts = [schedule.caplet_count(m) for m in quotes.maturities_months]
-    caplets = bachelier.intrinsic_vector(
-        schedule.forwards[: counts[-1]],
-        quotes.strike,
-        schedule.accruals[: counts[-1]],
-        schedule.discounts[: counts[-1]],
-    )
-    # np.sum per cap, as cap_prices sums: a cumulative sum adds in another
-    # order and moves the time values the tv engine writes in their last bits
-    intrinsic = np.array([np.sum(caplets[:n]) for n in counts])
+    ladder = Ladder(schedule, quotes)
+    price, intrinsic = ladder.market, ladder.intrinsic
     tv = price - intrinsic
     d_price = np.diff(price, prepend=0.0)
     d_intrinsic = np.diff(intrinsic, prepend=0.0)

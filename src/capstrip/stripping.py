@@ -6,15 +6,14 @@ solve, and mapped to pricing vols by a VolMap before pricing. The bootstrap
 floors it at zero (ZERO_FLOOR), so that negative values price as zero vol.
 The global solver takes the positivity mode: the zero floor, the positivity
 floor, or the exponential under 'exp'; it differentiates the map exactly
-(EvaluationCore). Each engine call builds one Ladder: the caplet counts of
-the quoted caps, their market prices at the quoted flat vols, and the
-caplet table that prices the curve and reprices the result.
+(EvaluationCore). Each engine call builds one diagnostics.Ladder, the
+market side of its quotes, prices the curve off its caplet table, and
+reprices the solved vols against it (_result).
 """
 
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -165,62 +164,23 @@ class StripResult:
         return float(np.min(self.node_values)) * 1e4
 
 
-class Ladder:
-    """The market side of one quote ladder, built once per engine call.
-
-    counts[q] is cap q's caplet count and market its price at its flat vol
-    (diagnostics.cap_prices). times are the longest cap's fixings, table its
-    CapletTable, and delta the caplet accrual in years. floor_cost is the
-    least cost any non-negative vols reach (diagnostics.isotonic_floor).
-    """
-
-    def __init__(self, schedule, quotes):
-        self.quotes = quotes
-        self.counts = np.array([schedule.caplet_count(m) for m in quotes.maturities_months])
-        self.market = diagnostics.cap_prices(schedule, quotes)
-        n = self.counts[-1]
-        self.times = schedule.fixing_times[:n]
-        self.tenor_months = schedule.tenor_months
-        self.delta = schedule.tenor_months / 12.0
-        self.table = bachelier.CapletTable(
-            schedule.forwards[:n], quotes.strike, self.times,
-            schedule.accruals[:n], schedule.discounts[:n],
-        )
-
-    def node_times(self, placement):
-        return place_nodes(self.quotes.maturities_months, self.tenor_months, placement)
-
-    def cap_sums(self, caplet_prices):
-        """Cap prices from the prices of the caplets, each cap the first counts[q]."""
-        return _running_sums(caplet_prices)[self.counts]
-
-    @cached_property
-    def floor_cost(self):
-        time_values = self.market - self.cap_sums(self.table.intrinsic)
-        return diagnostics.isotonic_floor(time_values, self.market)
-
-    def residuals_bp(self, model):
-        """Model minus market cap prices, in bp."""
-        return (model - self.market) * 1e4
-
-    def result(self, method, taus, values, caplet_vols, config, model=None, **kw):
-        """The StripResult of these caplet vols, repriced against the market,
-        unless model holds their cap prices already."""
-        if model is None:
-            model = self.cap_sums(self.table.price(caplet_vols))
-        return StripResult(
-            method=method,
-            quote_months=self.quotes.maturities_months.copy(),
-            market_prices_bp=self.market * 1e4,
-            residuals_bp=self.residuals_bp(model),
-            node_times=taus,
-            node_values=np.asarray(values, dtype=float),
-            caplet_times=self.times,
-            caplet_vols=caplet_vols,
-            config=config,
-            floor_cost=self.floor_cost,
-            **kw,
-        )
+def _result(ladder, method, taus, values, caplet_vols, config, model=None, **kw):
+    """The StripResult of these caplet vols, repriced unless model holds their cap prices."""
+    if model is None:
+        model = ladder.cap_sums(ladder.table.price(caplet_vols))
+    return StripResult(
+        method=method,
+        quote_months=ladder.quotes.maturities_months.copy(),
+        market_prices_bp=ladder.market * 1e4,
+        residuals_bp=ladder.residuals_bp(model),
+        node_times=taus,
+        node_values=np.asarray(values, dtype=float),
+        caplet_times=ladder.times,
+        caplet_vols=caplet_vols,
+        config=config,
+        floor_cost=ladder.floor_cost,
+        **kw,
+    )
 
 
 @dataclass(frozen=True)
@@ -367,7 +327,7 @@ class _Bracket:
         return min(candidate, BRACKET_LIMIT)
 
 
-def _newton_node(table, fixed, column, target, start, split, line=None, zero_first=False):
+def _newton_node(table, fixed, column, target, start, split, line=None):
     """A bootstrap node on the curve fixed + x * column, by safeguarded Newton.
 
     Returns (x, clamped). table prices the cap's caplets, and split =
@@ -382,23 +342,21 @@ def _newton_node(table, fixed, column, target, start, split, line=None, zero_fir
     whose slope is not positive moves as a step off the bracket's left end.
     The node clamps at 0 when zero vol already overprices the cap: seen at
     once when the moving caplets' intrinsic does, else when an iterate
-    reaches zero, or first of all with zero_first (then the second iterate
-    is start). It clamps at BRACKET_LIMIT when that still underprices.
+    reaches zero, or first of all with a line (then the second iterate is
+    start). It clamps at BRACKET_LIMIT when that still underprices.
     """
     held, moving = split
     offset = -target
     bracket = _Bracket()
     start = min(start, BRACKET_LIMIT)
-    x = 0.0 if zero_first else start
-    first = True
-    for _ in range(NEWTON_MAX_ITER):
-        if line is not None and not first:
+    x = 0.0 if line is not None else start
+    for k in range(NEWTON_MAX_ITER):
+        if line is not None and k:
             fixed, column = line(x)
         curve = fixed + x * column
         vols = ZERO_FLOOR(curve)
         prices, vegas, vommas = table.price_greeks(vols)
-        if first:
-            first = False
+        if not k:
             # the caplets that do not move keep these prices at every x
             offset += prices[held].sum()
             table = table[moving]
@@ -412,8 +370,8 @@ def _newton_node(table, fixed, column, target, start, split, line=None, zero_fir
         settled = bracket.settle(x, residual)
         if settled is not None:
             return settled
-        if zero_first:
-            zero_first, x = False, start
+        if line is not None and not k:
+            x = start
             continue
         weights = ZERO_FLOOR.slope(curve, vols) * column
         slope = vegas @ weights
@@ -464,7 +422,7 @@ class _LocalSystem:
         nodes = np.arange(n)
         self.moves = np.minimum(np.searchsorted(reach, nodes, side="left"), counts)
         self.heads = np.minimum(np.searchsorted(reach, nodes, side="right"), counts)
-        intrinsic = _running_sums(ladder.table.intrinsic)
+        intrinsic = ladder.running_intrinsic
         self.moving_intrinsic = intrinsic[counts] - intrinsic[self.moves]
         sizes = counts - self.heads
         self.ends = np.cumsum(sizes)
@@ -494,10 +452,10 @@ class _LocalSystem:
     def _sums(self, caplet_prices):
         """(each cap's sum of caplet_prices over its own rows, the running
         sums over W's rows from 0)."""
-        running = _running_sums(caplet_prices[: self.rows])
+        running = diagnostics._running_sums(caplet_prices[: self.rows])
         sums = running[self.heads]
         if self.ends[-1]:
-            tail = _running_sums(caplet_prices[self.rows :])
+            tail = diagnostics._running_sums(caplet_prices[self.rows :])
             sums += tail[self.ends] - tail[self.begins]
         return sums, running
 
@@ -518,14 +476,6 @@ class _LocalSystem:
         n = len(model)
         main, tail = np.bincount(self._slots_nz, weights, 2 * n * n).reshape(2, n, n)
         return model, least, np.cumsum(main, axis=0) + tail
-
-
-def _running_sums(values):
-    """Sums of values' first k entries, for k = 0 .. len(values)."""
-    sums = np.empty(len(values) + 1)
-    sums[0] = 0.0
-    np.cumsum(values, out=sums[1:])
-    return sums
 
 
 def _solve_local(system, market, starts):
@@ -629,7 +579,7 @@ def bootstrap_sequential(schedule, quotes, config=None):
         raise InputError(
             "midpoint nodes with a non-flat family are not triangular; use the global solver"
         )
-    return _bootstrap(Ladder(schedule, quotes), config)
+    return _bootstrap(diagnostics.Ladder(schedule, quotes), config)
 
 
 def _bootstrap(ladder, config, nodes_only=False):
@@ -648,7 +598,7 @@ def _bootstrap(ladder, config, nodes_only=False):
     and each node's root is taken as its own safeguarded 1-D solve.
     """
     quotes, times = ladder.quotes, ladder.times
-    taus = ladder.node_times(config.placement)
+    taus = place_nodes(quotes.maturities_months, ladder.tenor_months, config.placement)
     family, beta, delta = config.family, config.beta, ladder.delta
     if family not in ("cubic", "hyman"):
         system = _LocalSystem(ladder, family, taus, beta)
@@ -661,7 +611,7 @@ def _bootstrap(ladder, config, nodes_only=False):
     clamped = [int(quotes.maturities_months[q]) for q in clamped]
     final = VolCurve(family, taus, values, beta=beta, delta=delta)
     caplet_vols = ZERO_FLOOR(final(times))
-    result = ladder.result("bootstrap", taus, values, caplet_vols, config, clamped_months=clamped)
+    result = _result(ladder, "bootstrap", taus, values, caplet_vols, config, clamped_months=clamped)
     result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
     if not result.converged:
         result.stop_reason = "clamped" if clamped else "approximate"
@@ -696,8 +646,7 @@ def _bootstrap_by_node(ladder, config, taus):
         split = _split_rows(column != 0.0) if line is None else (slice(start), slice(start, None))
         # start at the flat vol, the one vol that prices the whole cap
         values[q], at_clamp = _newton_node(
-            ladder.table[:rows], fixed, column, market[q], quotes.flat_vols[q], split, line,
-            zero_first=family == "hyman",
+            ladder.table[:rows], fixed, column, market[q], quotes.flat_vols[q], split, line
         )
         if at_clamp:
             clamped.append(q)
@@ -785,14 +734,14 @@ def strip_global(schedule, quotes, config=None):
     residual evaluation and its stop (_trace_evaluation).
     """
     config = config or StripConfig()
-    ladder = Ladder(schedule, quotes)
+    ladder = diagnostics.Ladder(schedule, quotes)
     market = ladder.market
     if np.any(market <= 0.0):
         months = ", ".join(f"{m}M" for m in quotes.maturities_months[market <= 0.0])
         raise InputError(
             f"the global solver fits relative price errors, which quotes priced at 0 lack: {months}"
         )
-    taus = ladder.node_times(config.placement)
+    taus = place_nodes(quotes.maturities_months, ladder.tenor_months, config.placement)
     core = EvaluationCore(ladder, taus, config)
     vol_map = core.vol_map
 
@@ -816,7 +765,7 @@ def strip_global(schedule, quotes, config=None):
     def certified(point, cost):
         if floor > 0.0 and 2.0 * cost <= floor * (1.0 + FLOOR_GAP):
             return True
-        # Ladder.result's repricing test, on the same prices
+        # _result's repricing test, on the same prices
         return np.max(np.abs(ladder.residuals_bp(point.cap_prices))) <= PRICE_TOL_BP
 
     tracing = _log.isEnabledFor(logging.DEBUG)
@@ -832,8 +781,8 @@ def strip_global(schedule, quotes, config=None):
             f"of their relative errors: {months}"
         ) from None
     values = vol_map(fit.x) if vol_map.log else fit.x
-    result = ladder.result(
-        "global", taus, values, fit.point.vols, config, model=fit.point.cap_prices,
+    result = _result(
+        ladder, "global", taus, values, fit.point.vols, config, model=fit.point.cap_prices,
         iterations=fit.nfev, curve_values=fit.x if vol_map.log else None,
     )
     # whichever test stopped the solver, only a repriced ladder has converged
@@ -868,8 +817,9 @@ def strip_time_value(schedule, quotes, config=None):
     arbitrage-free caplet prices, inverted in one array call.
     """
     config = config or StripConfig()
-    report = diagnostics.decompose(schedule, quotes)
-    keep_tv = list(report.time_value_bp * 1e-4)
+    ladder = diagnostics.Ladder(schedule, quotes)
+    # decompose's time values, through its round trip in bp
+    keep_tv = list((ladder.market - ladder.intrinsic) * 1e4 * 1e-4)
     keep_m = list(quotes.maturities_months.astype(float))
     removed = []
     while True:
@@ -890,24 +840,17 @@ def strip_time_value(schedule, quotes, config=None):
         drop = bad - 1 if distance(bad - 1) > distance(bad) else bad
         removed.append(int(keep_m[drop]))
         del keep_tv[drop], keep_m[drop]
-    tv = np.array(keep_tv)
-    months = np.array(keep_m)
-    kept = diagnostics.CapQuoteSet(
-        months.astype(int),
-        quotes.flat_vols[np.isin(quotes.maturities_months, months.astype(int))],
-        quotes.strike,
-    )
-    ladder = Ladder(schedule, kept)
+    ladder = ladder[~np.isin(quotes.maturities_months, removed)]
     n = ladder.counts[-1]
 
-    knot_t = np.concatenate(([0.0], months / 12.0))
-    knot_tv = np.concatenate(([0.0], tv))
+    knot_t = np.concatenate(([0.0], ladder.quotes.maturities_months / 12.0))
+    knot_tv = np.concatenate(([0.0], keep_tv))
     tv_at_pay = build_monotone_c2(knot_t, knot_tv)(schedule.pay_times[:n])
     levels = np.maximum.accumulate(np.maximum(tv_at_pay, 0.0))
     targets = ladder.table.intrinsic + np.diff(levels, prepend=0.0)
     caplet_vols = bachelier.implied_vol_vector(
-        schedule.forwards[:n], kept.strike, schedule.fixing_times[:n],
+        schedule.forwards[:n], quotes.strike, schedule.fixing_times[:n],
         schedule.accruals[:n], schedule.discounts[:n], targets,
     )
 
-    return ladder.result("tv", months / 12.0, tv, caplet_vols, config, removed_months=removed)
+    return _result(ladder, "tv", knot_t[1:], keep_tv, caplet_vols, config, removed_months=removed)

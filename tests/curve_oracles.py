@@ -5,9 +5,11 @@ searchsorted indexing, the kernel families as the first node value plus
 every node's increment times its ramp, linear by np.interp, cubic by
 scipy's natural CubicSpline and hyman by scipy's CubicHermiteSpline on
 hyman_slopes' node slopes. Tests hold VolCurve and basis_matrix to them.
-cap_price_from_flat_vol prices one cap alone, as diagnostics.cap_prices
-prices each cap of a ladder, and flat_vol_oracle inverts that price by
-the benchmark's recipe (perfbench/reference.py: flat_vol).
+intrinsic_vector gives caplet intrinsic values, B * delta * max(F - K, 0),
+as bachelier.CapletTable holds them. cap_price_from_flat_vol prices one
+cap alone, as diagnostics.cap_prices prices each cap of a ladder, and
+flat_vol_oracle inverts that price by the benchmark's recipe
+(perfbench/reference.py: flat_vol).
 least_squares_global_fit is the global fit as
 scipy's least_squares ran it, which capstrip's own trust-region loop must
 match bit for bit.
@@ -20,13 +22,15 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq, least_squares
 
 from capstrip.bachelier import price_vector
+from capstrip.diagnostics import Ladder
 from capstrip.stripping import (
     FLOOR_GAP,
     PRICE_TOL_BP,
     EvaluationCore,
-    Ladder,
     StripConfig,
     _bootstrap,
+    _result,
+    place_nodes,
 )
 from capstrip.vol_interpolation import TransitionKernel, hyman_slopes
 
@@ -63,6 +67,10 @@ def family_oracle(family, taus, values, t, beta=1.0, delta=1.0 / 12.0):
     if family == "cubic":
         return CubicSpline(taus, values, bc_type="natural")(clamped)
     return CubicHermiteSpline(taus, values, hyman_slopes(taus, values)[0])(clamped)
+
+
+def intrinsic_vector(forwards, strike, accruals, discounts):
+    return discounts * accruals * np.maximum(forwards - strike, 0.0)
 
 
 def cap_price_from_flat_vol(schedule, maturity_months, flat_vol, strike):
@@ -108,7 +116,7 @@ def least_squares_global_fit(schedule, quotes, config=None):
     config = config or StripConfig()
     ladder = Ladder(schedule, quotes)
     market = ladder.market
-    taus = ladder.node_times(config.placement)
+    taus = place_nodes(quotes.maturities_months, ladder.tenor_months, config.placement)
     core = EvaluationCore(ladder, taus, config)
     vol_map = core.vol_map
     init_family = "flat" if config.family == "flat" else "linear"
@@ -144,8 +152,8 @@ def least_squares_global_fit(schedule, quotes, config=None):
         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=config.max_iter, callback=certify,
     )
     values = vol_map(fit.x) if vol_map.log else fit.x
-    result = ladder.result(
-        "global", taus, values, evaluated(fit.x).vols, config, iterations=fit.nfev,
+    result = _result(
+        ladder, "global", taus, values, evaluated(fit.x).vols, config, iterations=fit.nfev,
         curve_values=fit.x if vol_map.log else None,
     )
     result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP

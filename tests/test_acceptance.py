@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from curve_oracles import intrinsic_vector
 
 import capstrip as cs
 from capstrip.cli import compare_methods
@@ -159,7 +160,7 @@ def _ladder_time_values(schedule, counts, strike, vols):
         schedule.forwards[:head], strike, schedule.fixing_times[:head],
         schedule.accruals[:head], schedule.discounts[:head], vols[:head],
     )
-    intrinsic = cs.intrinsic_vector(
+    intrinsic = intrinsic_vector(
         schedule.forwards[:head], strike, schedule.accruals[:head], schedule.discounts[:head]
     )
     cum = np.concatenate(([0.0], np.cumsum(prices - intrinsic)))
@@ -225,7 +226,7 @@ def test_criterion_8_property_battery():
             shape = np.full_like(moneyness, 1.0)
             prices = cs.price_vector(0.02 + moneyness, 0.02, t * shape,
                                      shape / 12.0, 0.97 * shape, vol * shape)
-            intrinsic = cs.intrinsic_vector(0.02 + moneyness, 0.02, shape / 12.0, 0.97 * shape)
+            intrinsic = intrinsic_vector(0.02 + moneyness, 0.02, shape / 12.0, 0.97 * shape)
             worst_tv = min(worst_tv, float(np.min(prices - intrinsic)))
     details.append(f"min TV {worst_tv:.1e}")
     tv_ok = worst_tv >= 0.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from curve_oracles import intrinsic_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,7 +188,7 @@ def test_intrinsic_vector_matches_scalar():
     discounts = np.array([0.99, 0.98])
     expected = discounts * accruals * np.maximum(forwards - 0.018, 0.0)
     np.testing.assert_allclose(
-        cs.intrinsic_vector(forwards, 0.018, accruals, discounts), expected, rtol=0, atol=0
+        intrinsic_vector(forwards, 0.018, accruals, discounts), expected, rtol=0, atol=0
     )
 
 
@@ -253,7 +254,7 @@ def test_table_price_greeks_matches_price_vega_and_differences():
     terms = (strike + moneyness, strike, np.ones(n), np.full(n, 0.25), np.full(n, 0.97))
     vegas, vommas = _greeks_match_price_and_vega(terms, vols)
     prices = cs.price_vector(*terms, vols)
-    intrinsic = cs.intrinsic_vector(strike + moneyness, strike, terms[3], terms[4])
+    intrinsic = intrinsic_vector(strike + moneyness, strike, terms[3], terms[4])
     assert prices[0] > 0.0  # out of the money, a subnormal time value is left at q = 37.5
     np.testing.assert_array_equal(prices[2:8], intrinsic[2:8])
     assert np.all(vegas[2:8] == 0.0) and np.all(vommas[2:] == 0.0)
@@ -283,7 +284,7 @@ def test_caplet_table_rows_price_as_their_own_table():
         for got, want in zip(part.price_greeks(vols[rows]), greeks):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(
-            part.intrinsic, cs.intrinsic_vector(terms[0], strike, terms[3], terms[4])
+            part.intrinsic, intrinsic_vector(terms[0], strike, terms[3], terms[4])
         )
 
 

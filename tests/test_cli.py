@@ -406,6 +406,33 @@ def test_non_finite_or_negative_quotes_are_rejected(tmp_path, bad_row):
     _assert_rejected(result, out)
 
 
+def test_quotes_priced_past_the_float_range_in_bp_are_rejected(tmp_path):
+    """A flat vol of 1e308 bp prices the 180M cap past the float range in
+    bp, which no artifact can hold: the run names the quote and writes
+    nothing. The 12M cap's price at that vol fits, and its run writes
+    strict JSON without a warning."""
+    for month, rejected in ((180, True), (12, False)):
+        rows = (DATA / "cap_quotes.csv").read_text().splitlines()
+        rows = [f"{month},1e308" if row.startswith(f"{month},") else row for row in rows]
+        bad = tmp_path / f"quotes{month}.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        out = tmp_path / f"out{month}"
+        for method in ("tv", "bootstrap", "global"):
+            result = _invoke([
+                "run",
+                "--projection-curve", str(DATA / "libor1m_zero_curve.csv"),
+                "--discount-curve", str(DATA / "ois_zero_curve.csv"),
+                "--quotes", str(bad), "--method", method,
+                "--out", str(out),
+            ])
+            if rejected:
+                _assert_rejected(result, out)
+                assert result.stderr.rstrip().endswith("in bp: 180M")
+            else:
+                assert result.exit_code == 0, result.output
+                json.loads((out / "strip.json").read_text(), parse_constant=_reject_constant)
+
+
 # (quotes CSV, strike bp, the maturities priced at 0): zero flat vols out of
 # the money, and a deep out-of-the-money price that underflows
 ZERO_PRICED_LADDERS = [
@@ -582,6 +609,8 @@ def test_non_finite_curve_rate_is_rejected(tmp_path):
         (["--method", "global", "--positivity", "floor=nan"], "floor"),
         (["--strike-bp", "nan"], "strike"),
         (["--far-quote", "999999999999999"], "horizon"),
+        (["--mad-threshold", "inf"], "MAD"),
+        (["--far-quote", "240:1e308"], "240M"),
     ],
 )
 def test_out_of_range_flag_writes_nothing(tmp_path, flags, word):
@@ -837,6 +866,7 @@ def _report(table, violations):
         [2.0**46 + 2.0**-6],  # its float product with 1e4 is not its exact digits
         [np.nextafter(2.0**52 * 1e-4, 0.0)],
         [float("nan"), float("inf"), -float("inf")],
+        [1e305, -1e305],  # finite, but past the float range in |v| 1e4
     ],
 )
 def test_ladder_tables_print_as_their_f_strings(extra):

@@ -176,6 +176,52 @@ def test_cap_prices_match_the_per_quote_loop(schedule, quotes, forward_curve, di
     assert np.array_equal(prices, _per_quote_prices(quarterly, ladder))
 
 
+def _ladder_fields(ladder):
+    """Every field of a Ladder, its table's fields and its floor, as bytes."""
+    fields = {name: np.asarray(getattr(ladder, name)).tobytes() for name in (
+        "counts", "market", "times", "intrinsic", "running_intrinsic", "floor_cost",
+        "tenor_months", "delta",
+    )}
+    quotes = ladder.quotes
+    fields["quotes"] = (
+        quotes.maturities_months.tobytes(), quotes.flat_vols.tobytes(), quotes.strike
+    )
+    for name in cs.bachelier.CapletTable._FIELDS:
+        fields[f"table.{name}"] = getattr(ladder.table, name).tobytes()
+    return fields
+
+
+@pytest.mark.parametrize("ladder", ["raw", "clean", "quarterly"])
+def test_ladder_rows_are_the_ladder_of_those_quotes(
+    schedule, quotes, clean_quotes, forward_curve, discount_curve, ladder
+):
+    """ladder[rows] is a fresh Ladder of those quotes to the bit, in every
+    field, table field and floor, on random subsets of the rows."""
+    if ladder == "quarterly":
+        market_schedule = cs.build_schedule(forward_curve, discount_curve, 180, tenor_months=3)
+        months = np.array([6, 9, 12, 24, 36, 60, 84, 120, 180])
+        ladders = [cs.CapQuoteSet(months, np.linspace(60.0, 95.0, len(months)) * 1e-4, -0.005)]
+    else:
+        market_schedule = schedule
+        base = quotes if ladder == "raw" else clean_quotes
+        ladders = [
+            cs.CapQuoteSet(base.maturities_months, base.flat_vols, strike) for strike in (0.0, 0.02)
+        ]
+    rng = np.random.default_rng(5)
+    for ladder_quotes in ladders:
+        full = cs.diagnostics.Ladder(market_schedule, ladder_quotes)
+        n = len(ladder_quotes)
+        subsets = [np.arange(n), np.arange(n - 1), np.arange(1, n), [0], [n - 1]]
+        subsets += [np.flatnonzero(rng.random(n) < 0.5) for _ in range(20)]
+        for rows in filter(len, subsets):
+            kept = cs.CapQuoteSet(
+                ladder_quotes.maturities_months[rows], ladder_quotes.flat_vols[rows],
+                ladder_quotes.strike,
+            )
+            fresh = cs.diagnostics.Ladder(market_schedule, kept)
+            assert _ladder_fields(full[rows]) == _ladder_fields(fresh), (ladder, list(rows))
+
+
 # a quote: its time value's change from the previous quote (falls included)
 # and its price, both in bp
 _INCREMENTS_AND_PRICES = st.lists(

@@ -2,14 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
-from curve_oracles import cap_price_from_flat_vol, family_oracle, flat_vol_oracle
+from curve_oracles import cap_price_from_flat_vol, family_oracle, flat_vol_oracle, intrinsic_vector
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import capstrip as cs
 from capstrip.cli import _STANDARD_ROWS, compare_methods
-from capstrip.stripping import FLOOR_GAP, PRICE_TOL_BP, CurveBasis, EvaluationCore, Ladder
+from capstrip.diagnostics import Ladder
+from capstrip.stripping import FLOOR_GAP, PRICE_TOL_BP, CurveBasis, EvaluationCore
 from capstrip.vol_interpolation import basis_matrix, hermite_basis, hyman_slopes
 
 
@@ -337,7 +338,8 @@ def test_global_start_bootstraps_the_nodes_alone(
     """strip_global's start asks the bootstrap for its nodes only: they are
     the full result's, to the bit, and no curve or result is built for them.
     The start runs on the global call's own ladder: one Ladder is built and
-    the market is priced once."""
+    the market is priced once. So do decompose, the tv engine, whose kept
+    quotes are a cut of its one ladder, and the bootstrap."""
     ladder_quotes = quotes if ladder == "raw" else clean_quotes
     shared = Ladder(schedule, ladder_quotes)
     configs = [cs.StripConfig(family=family) for family in cs.FAMILIES] + [
@@ -351,19 +353,29 @@ def test_global_start_bootstraps_the_nodes_alone(
     built = []
     for owner, name in (
         (cs.stripping, "VolCurve"),
-        (cs.stripping, "Ladder"),
-        (Ladder, "result"),
+        (cs.diagnostics, "Ladder"),
+        (cs.stripping, "_result"),
         (cs.diagnostics, "cap_prices"),
     ):
 
-        def counted(*args, name=name, build=getattr(owner, name), **kwargs):
+        def counted(*args, name=name.lstrip("_"), build=getattr(owner, name), **kwargs):
             built.append(name)
             return build(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     cs.strip_global(schedule, ladder_quotes, cs.StripConfig(family="cubic", placement="mid"))
-    monkeypatch.undo()
     assert built == ["Ladder", "cap_prices", "result"]
+    built.clear()
+    cs.decompose(schedule, ladder_quotes)
+    assert built == ["Ladder", "cap_prices"]
+    built.clear()
+    result = cs.strip_time_value(schedule, ladder_quotes)
+    assert built == ["Ladder", "cap_prices", "result"]
+    assert bool(result.removed_months) == (ladder == "raw")
+    built.clear()
+    cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="cubic"))
+    monkeypatch.undo()
+    assert built == ["Ladder", "cap_prices", "VolCurve", "result"]
 
 
 @pytest.mark.parametrize("family", ["linear", "cubic", "hyman"])
@@ -537,7 +549,7 @@ def test_time_value_caplet_prices_round_trip(schedule, quotes):
     )
     levels = np.maximum.accumulate(np.maximum(spline(schedule.pay_times[:n]), 0.0))
     f, a, d = schedule.forwards[:n], schedule.accruals[:n], schedule.discounts[:n]
-    targets = cs.intrinsic_vector(f, quotes.strike, a, d) + np.diff(levels, prepend=0.0)
+    targets = intrinsic_vector(f, quotes.strike, a, d) + np.diff(levels, prepend=0.0)
     prices = cs.price_vector(f, quotes.strike, schedule.fixing_times[:n], a, d, result.caplet_vols)
     np.testing.assert_allclose(prices, targets, rtol=1e-13, atol=0)
 
