@@ -246,7 +246,7 @@ def _newton(table, target_tv):
     else:
         raise ValueError("implied vol bracket expansion failed")
 
-    sigma = np.sqrt(lo * hi)
+    sigma = _geometric_mean(lo, hi)
     k = np.arange(len(target_tv))
     for _ in range(_NEWTON_MAX_ITER):
         s = sigma[k]
@@ -260,7 +260,7 @@ def _newton(table, target_tv):
         step = np.where(
             newton, (np.log(safe_tv) - log_target[k]) * safe_tv / np.where(newton, slope, 1.0), np.inf
         )
-        midpoint = np.sqrt(lo[k] * hi[k])
+        midpoint = _geometric_mean(lo[k], hi[k])
         candidate = np.where(newton, s - step, midpoint)
         candidate = np.where((lo[k] < candidate) & (candidate < hi[k]), candidate, midpoint)
         done = (tv_val == target_tv[k]) | (np.abs(step) <= 1e-15 * s) | (candidate == s)
@@ -269,3 +269,14 @@ def _newton(table, target_tv):
         if k.size == 0:
             break
     return sigma
+
+
+def _geometric_mean(lo, hi):
+    """sqrt(lo * hi), as sqrt(lo) * sqrt(hi) where the product overflows:
+    a bracket whose product is finite keeps its bits."""
+    with np.errstate(over="ignore"):
+        mean = np.sqrt(lo * hi)
+    wide = mean == np.inf
+    if wide.any():
+        mean[wide] = np.sqrt(lo[wide]) * np.sqrt(hi[wide])
+    return mean

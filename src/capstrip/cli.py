@@ -37,6 +37,7 @@ import dataclasses
 import decimal
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -89,6 +90,9 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        # os.PathLike paths are kept as the str the JSON echo can hold
+        for name in ("projection_curve", "discount_curve", "quotes", "out_dir"):
+            object.__setattr__(self, name, os.fspath(getattr(self, name)))
         if self.strike_bp < -1000.0:
             raise InputError("strike must be at least -1000 bp")
         if self.tenor_months < 1:
@@ -122,14 +126,16 @@ def _engine(method):
     return engines[method]
 
 
-def evaluated_curve(result, tenor_months=1):
+def evaluated_curve(result):
     """sigma(t) exactly as the pricer evaluated it for this result.
 
     Node-based results rebuild the interpolated curve and apply the
     engine's VolMap (zero or positivity floor, or the exponential of the
     log-curve under the exp transform, rebuilt from the log-vols the
-    solver carried on the result). Time-value results have no curve
-    between fixings, so they step through the solved vols.
+    solver carried on the result). The ramp families' width is the caplet
+    tenor, which is the first fixing time: caplet i fixes at (i + 1) tenors.
+    Time-value results have no curve between fixings, so they step through
+    the solved vols.
     """
     if result.method == "tv":
         times = np.asarray(result.caplet_times, dtype=float)
@@ -148,7 +154,7 @@ def evaluated_curve(result, tenor_months=1):
         result.node_times,
         values,
         beta=cfg.beta,
-        delta=tenor_months / 12.0,
+        delta=result.caplet_times[0],
     )
     return lambda t: vol_map(curve(t))
 
@@ -421,8 +427,8 @@ def _strip_json_text(result, config):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _daily_curve_text(result, tenor_months):
-    sigma = evaluated_curve(result, tenor_months)
+def _daily_curve_text(result):
+    sigma = evaluated_curve(result)
     days = np.arange(1, int(np.floor(result.caplet_times[-1] * 365.0)) + 1)
     vols_bp = np.asarray(sigma(days / 365.0), dtype=float) * 1e4
     return _csv_rows("t_years,caplet_vol_bp", (_day_words, days), (_bp_words, vols_bp))
@@ -482,7 +488,7 @@ def run_pipeline(config):
 
     files["strip.csv"] = _strip_csv_text(result)
     files["strip.json"] = _strip_json_text(result, config)
-    files["volcurve_daily.csv"] = _daily_curve_text(result, config.tenor_months)
+    files["volcurve_daily.csv"] = _daily_curve_text(result)
     _write_files(out, files)
 
     click.echo(

@@ -712,67 +712,95 @@ def _hyman_line(hermite, taus, times, known, known_map):
     return line, start
 
 
-def strip_global(schedule, quotes, config=None):
-    """Fit all node values at once by bounded least squares.
+class _GlobalProblem:
+    """The global fit's problem on one Ladder, stated once for any loop.
 
-    Minimizes the sum of squared relative price errors with the exact
-    Jacobian of the evaluation core, starting from the sequential bootstrap
-    values, by trust_region.solve (scipy's least_squares TRF, step for
-    step). Positivity modes: 'none' (free nodes), 'exp' (nodes
-    parameterised as exponentials), 'nonneg' and 'floor' (the nodes bounded
-    below at zero or at floor_bp; the evaluated curve is floored there too).
-    Two certificates stop the solver early: an iterate that reprices every
-    quote within PRICE_TOL_BP, and one whose cost is within FLOOR_GAP
-    (relative) of the ladder's arbitrage floor, the least cost any
-    non-negative vols reach, so that no further step can gain more.
-    iterations counts residual evaluations, at most max_iter; stop_reason
-    is 'priced' when the ladder reprices, 'floor' at the floor, else the
-    stop test that fired. A quote priced at 0 (zero flat vol out of the
-    money, or a price that underflows) has no relative error, so a ladder
-    with one raises InputError; so does a start whose relative errors or
-    Jacobian square past the float range. At DEBUG the fit logs each
-    residual evaluation and its stop (_trace_evaluation).
+    The start is the linear-family bootstrap (flat for flat): family-neutral
+    and free of the spline overshoot a same-family start can bake into the
+    frozen directions; under 'exp' the family interpolates log-vols.
+    residuals(x) gives the relative price errors and the point evaluated,
+    jacobian(point) their exact derivative. certified(point, cost) holds
+    once the iterate reprices every quote within PRICE_TOL_BP, or its cost
+    is within FLOOR_GAP (relative) of the ladder's arbitrage floor, the
+    least cost any non-negative vols reach. A quote priced at 0 has no
+    relative error, so a ladder with one raises InputError.
     """
-    config = config or StripConfig()
-    ladder = diagnostics.Ladder(schedule, quotes)
-    market = ladder.market
-    if np.any(market <= 0.0):
-        months = ", ".join(f"{m}M" for m in quotes.maturities_months[market <= 0.0])
-        raise InputError(
-            f"the global solver fits relative price errors, which quotes priced at 0 lack: {months}"
-        )
-    taus = place_nodes(quotes.maturities_months, ladder.tenor_months, config.placement)
-    core = EvaluationCore(ladder, taus, config)
-    vol_map = core.vol_map
 
-    # linear-family bootstrap start: family-neutral and free of the spline
-    # overshoot a same-family start can bake into the frozen directions
-    init_family = "flat" if config.family == "flat" else "linear"
-    init = _bootstrap(ladder, replace(config, family=init_family), nodes_only=True)
-    lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
-    # under 'exp' the family interpolates log-vols
-    x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)
+    def __init__(self, ladder, config):
+        market, quotes = ladder.market, ladder.quotes
+        if np.any(market <= 0.0):
+            months = ", ".join(f"{m}M" for m in quotes.maturities_months[market <= 0.0])
+            raise InputError(
+                "the global solver fits relative price errors, which quotes priced at 0 "
+                f"lack: {months}"
+            )
+        self.ladder, self.config = ladder, config
+        self.taus = place_nodes(quotes.maturities_months, ladder.tenor_months, config.placement)
+        self.core = EvaluationCore(ladder, self.taus, config)
+        vol_map = self.core.vol_map
+        init_family = "flat" if config.family == "flat" else "linear"
+        init = _bootstrap(ladder, replace(config, family=init_family), nodes_only=True)
+        self.lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
+        self.x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, self.lower)
 
-    floor = ladder.floor_cost
-
-    def residuals(x):
-        point = core.evaluate(x)
+    def residuals(self, x):
+        point = self.core.evaluate(x)
+        market = self.ladder.market
         return (point.cap_prices - market) / market, point
 
-    def jacobian(point):
-        return core.jacobian(point) / market[:, None]
+    def jacobian(self, point):
+        return self.core.jacobian(point) / self.ladder.market[:, None]
 
-    def certified(point, cost):
+    def certified(self, point, cost):
+        floor = self.ladder.floor_cost
         if floor > 0.0 and 2.0 * cost <= floor * (1.0 + FLOOR_GAP):
             return True
         # _result's repricing test, on the same prices
-        return np.max(np.abs(ladder.residuals_bp(point.cap_prices))) <= PRICE_TOL_BP
+        return np.max(np.abs(self.ladder.residuals_bp(point.cap_prices))) <= PRICE_TOL_BP
 
+    def result(self, x, point, nfev, status):
+        """The StripResult at x, evaluated at point, after nfev evaluations
+        and the stop status (numbered as trust_region and least_squares
+        number them)."""
+        vol_map = self.core.vol_map
+        values = vol_map(x) if vol_map.log else x
+        result = _result(
+            self.ladder, "global", self.taus, values, point.vols, self.config,
+            model=point.cap_prices, iterations=nfev, curve_values=x if vol_map.log else None,
+        )
+        # whichever test stopped the solver, only a repriced ladder has converged
+        result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
+        result.stop_reason = "priced" if result.converged else _STOP_TESTS[status]
+        return result
+
+
+def strip_global(schedule, quotes, config=None):
+    """Fit all node values at once by bounded least squares.
+
+    Minimizes the sum of squared relative price errors (_GlobalProblem)
+    with the exact Jacobian of the evaluation core, from the sequential
+    bootstrap values, by trust_region.solve (scipy's least_squares TRF,
+    step for step). Positivity modes: 'none' (free nodes), 'exp' (nodes
+    parameterised as exponentials), 'nonneg' and 'floor' (the nodes bounded
+    below at zero or at floor_bp; the evaluated curve is floored there too).
+    The problem's certificate stops the solver early, at a repriced ladder
+    or at the arbitrage floor, where no further step can gain more.
+    iterations counts residual evaluations, at most max_iter; stop_reason
+    is 'priced' when the ladder reprices, 'floor' at the floor, else the
+    stop test that fired. A ladder with a quote priced at 0 (zero flat vol
+    out of the money, or a price that underflows) raises InputError; so
+    does a start whose relative errors or Jacobian square past the float
+    range. At DEBUG the fit logs each residual evaluation and its stop
+    (_trace_evaluation).
+    """
+    config = config or StripConfig()
+    problem = _GlobalProblem(diagnostics.Ladder(schedule, quotes), config)
     tracing = _log.isEnabledFor(logging.DEBUG)
     try:
         fit = trust_region.solve(
-            residuals, jacobian, x0, config.max_iter, lower=lower,
-            certified=certified, trace=_trace_evaluation if tracing else None,
+            problem.residuals, problem.jacobian, problem.x0, config.max_iter,
+            lower=problem.lower, certified=problem.certified,
+            trace=_trace_evaluation if tracing else None,
         )
     except trust_region.StartNotFinite as exc:
         months = ", ".join(f"{m}M" for m in quotes.maturities_months[exc.rows])
@@ -780,14 +808,7 @@ def strip_global(schedule, quotes, config=None):
             "the global solver's start misses quotes by more than the float range "
             f"of their relative errors: {months}"
         ) from None
-    values = vol_map(fit.x) if vol_map.log else fit.x
-    result = _result(
-        ladder, "global", taus, values, fit.point.vols, config, model=fit.point.cap_prices,
-        iterations=fit.nfev, curve_values=fit.x if vol_map.log else None,
-    )
-    # whichever test stopped the solver, only a repriced ladder has converged
-    result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
-    result.stop_reason = "priced" if result.converged else _STOP_TESTS[fit.status]
+    result = problem.result(fit.x, fit.point, fit.nfev, fit.status)
     if tracing:
         _log.debug(
             "global stop: %s after %d evaluations, gap to floor %.6g",
@@ -814,7 +835,9 @@ def strip_time_value(schedule, quotes, config=None):
     values, anchored at (0, 0), are interpolated on the caplet payment
     grid with the monotone C2 spline. Non-negative increments between
     consecutive payment times plus the caplet intrinsics give
-    arbitrage-free caplet prices, inverted in one array call.
+    arbitrage-free caplet prices, inverted in one array call. As for the
+    node engines, stop_reason is 'priced' exactly when every kept quote
+    reprices within PRICE_TOL_BP (converged), and otherwise 'approximate'.
     """
     config = config or StripConfig()
     ladder = diagnostics.Ladder(schedule, quotes)
@@ -853,4 +876,8 @@ def strip_time_value(schedule, quotes, config=None):
         schedule.accruals[:n], schedule.discounts[:n], targets,
     )
 
-    return _result(ladder, "tv", knot_t[1:], keep_tv, caplet_vols, config, removed_months=removed)
+    result = _result(ladder, "tv", knot_t[1:], keep_tv, caplet_vols, config, removed_months=removed)
+    result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
+    if not result.converged:
+        result.stop_reason = "approximate"
+    return result

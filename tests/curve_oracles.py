@@ -10,12 +10,10 @@ as bachelier.CapletTable holds them. cap_price_from_flat_vol prices one
 cap alone, as diagnostics.cap_prices prices each cap of a ladder, and
 flat_vol_oracle inverts that price by the benchmark's recipe
 (perfbench/reference.py: flat_vol).
-least_squares_global_fit is the global fit as
-scipy's least_squares ran it, which capstrip's own trust-region loop must
-match bit for bit.
+least_squares_global_fit runs strip_global's one problem through
+scipy's least_squares, which capstrip's own trust-region loop must match
+bit for bit.
 """
-
-from dataclasses import replace
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
@@ -23,15 +21,7 @@ from scipy.optimize import brentq, least_squares
 
 from capstrip.bachelier import price_vector
 from capstrip.diagnostics import Ladder
-from capstrip.stripping import (
-    FLOOR_GAP,
-    PRICE_TOL_BP,
-    EvaluationCore,
-    StripConfig,
-    _bootstrap,
-    _result,
-    place_nodes,
-)
+from capstrip.stripping import StripConfig, _GlobalProblem
 from capstrip.vol_interpolation import TransitionKernel, hyman_slopes
 
 KERNELS = {
@@ -103,59 +93,33 @@ def flat_vol_oracle(schedule, maturity_months, price, strike):
     return brentq(miss, 0.0, top, xtol=1e-18, rtol=8.9e-16)
 
 
-# least_squares status -> the stop test that fired (4: ftol and xtol both; -2:
-# the callback's, which stops a repriced ladder too, but that one reads "priced")
-LEAST_SQUARES_STOPS = {-2: "floor", 0: "max_nfev", 1: "gtol", 2: "ftol", 3: "xtol", 4: "ftol"}
-
-
 def least_squares_global_fit(schedule, quotes, config=None):
-    """strip_global's StripResult with the fit run by scipy's least_squares
-    (trust-region reflective, x_scale='jac'), from the same bootstrap start,
-    with the two certificates in a callback that raises StopIteration.
+    """strip_global's StripResult with its problem (stripping._GlobalProblem)
+    run by scipy's least_squares (trust-region reflective, x_scale='jac'),
+    its certificate in a callback that raises StopIteration.
     """
     config = config or StripConfig()
-    ladder = Ladder(schedule, quotes)
-    market = ladder.market
-    taus = place_nodes(quotes.maturities_months, ladder.tenor_months, config.placement)
-    core = EvaluationCore(ladder, taus, config)
-    vol_map = core.vol_map
-    init_family = "flat" if config.family == "flat" else "linear"
-    init = _bootstrap(ladder, replace(config, family=init_family), nodes_only=True)
-    lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
-    x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, lower)
-
+    problem = _GlobalProblem(Ladder(schedule, quotes), config)
     last = {}
-    floor = ladder.floor_cost
 
     def residuals(x):
-        last["x"], last["point"] = x.copy(), core.evaluate(x)
-        return (last["point"].cap_prices - market) / market
+        f, last["point"] = problem.residuals(x)
+        last["x"] = x.copy()
+        return f
 
     def evaluated(x):
         # the Jacobian and each iterate the callback sees are at the point
         # evaluated last, unless the solver's last trial step was rejected
-        return last["point"] if np.array_equal(x, last["x"]) else core.evaluate(x)
-
-    def jacobian(x):
-        return core.jacobian(evaluated(x)) / market[:, None]
+        return last["point"] if np.array_equal(x, last["x"]) else problem.residuals(x)[1]
 
     def certify(intermediate_result):
         # scipy passes the iterate's OptimizeResult to a parameter of this name
-        if floor > 0.0 and 2.0 * intermediate_result.cost <= floor * (1.0 + FLOOR_GAP):
-            raise StopIteration
-        model = evaluated(intermediate_result.x).cap_prices
-        if np.max(np.abs(ladder.residuals_bp(model))) <= PRICE_TOL_BP:
+        if problem.certified(evaluated(intermediate_result.x), intermediate_result.cost):
             raise StopIteration
 
     fit = least_squares(
-        residuals, x0, jac=jacobian, bounds=(lower, np.inf), method="trf", x_scale="jac",
+        residuals, problem.x0, jac=lambda x: problem.jacobian(evaluated(x)),
+        bounds=(problem.lower, np.inf), method="trf", x_scale="jac",
         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=config.max_iter, callback=certify,
     )
-    values = vol_map(fit.x) if vol_map.log else fit.x
-    result = _result(
-        ladder, "global", taus, values, evaluated(fit.x).vols, config, iterations=fit.nfev,
-        curve_values=fit.x if vol_map.log else None,
-    )
-    result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
-    result.stop_reason = "priced" if result.converged else LEAST_SQUARES_STOPS[fit.status]
-    return result
+    return problem.result(fit.x, evaluated(fit.x), fit.nfev, fit.status)

@@ -142,6 +142,17 @@ def test_implied_vol_vector_round_trip(draws):
         )
 
 
+def test_implied_vol_past_the_square_root_of_the_float_range():
+    """Vols whose bracket product overflows invert all the same: the
+    bracket's geometric mean is taken root by root there."""
+    forwards = np.array([0.025, 0.015, 0.025])
+    vols = np.array([1e200, 1e300, 0.01])
+    expiries, accruals, discounts = np.ones(3), np.full(3, 0.25), np.full(3, 0.97)
+    targets = cs.price_vector(forwards, 0.02, expiries, accruals, discounts, vols)
+    recovered = implied_vol_vector(forwards, 0.02, expiries, accruals, discounts, targets)
+    np.testing.assert_allclose(recovered, vols, rtol=1e-12)
+
+
 @given(
     moneyness_bp=st.floats(min_value=-400.0, max_value=400.0),
     vol_bp=st.floats(min_value=0.0, max_value=300.0),

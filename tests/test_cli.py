@@ -357,6 +357,24 @@ def test_pipeline_api_matches_the_command(run_dir, tmp_path, capsys):
     assert via_api == via_cli
 
 
+def test_pipeline_takes_path_like_paths(tmp_path, capsys):
+    """RunConfig's input paths and out_dir may be os.PathLike: a run given
+    Path values writes the bytes a run given their str values writes."""
+    out = tmp_path / "out"
+    written = []
+    for kind in (str, Path):
+        code = run_pipeline(RunConfig(
+            projection_curve=kind(DATA / "libor1m_zero_curve.csv"),
+            discount_curve=kind(DATA / "ois_zero_curve.csv"),
+            quotes=kind(DATA / "cap_quotes.csv"),
+            out_dir=kind(out),
+        ))
+        assert code == 0
+        written.append({name: (out / name).read_bytes() for name in ARTIFACTS})
+    capsys.readouterr()
+    assert written[0] == written[1]
+
+
 def test_compare_writes_the_table(tmp_path):
     result = _invoke(["compare", *_market_args(), "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
@@ -431,6 +449,23 @@ def test_quotes_priced_past_the_float_range_in_bp_are_rejected(tmp_path):
             else:
                 assert result.exit_code == 0, result.output
                 json.loads((out / "strip.json").read_text(), parse_constant=_reject_constant)
+
+
+def test_tv_states_a_far_quote_it_cannot_reprice(tmp_path):
+    """A far quote at 1e305 bp takes the implied-vol bracket past the square
+    root of the float range. tv strips it without a warning and writes
+    strict JSON, and as no vol reprices that cap it says so: converged
+    false, stop_reason approximate."""
+    result = _invoke([
+        "run", *_market_args(), "--method", "tv", "--far-quote", "240:1e305",
+        "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 0, result.output
+    assert not result.stderr
+    payload = json.loads((tmp_path / "strip.json").read_text(), parse_constant=_reject_constant)
+    assert payload["quote_months"][-1] == 240
+    assert payload["converged"] is False
+    assert payload["stop_reason"] == "approximate"
 
 
 # (quotes CSV, strike bp, the maturities priced at 0): zero flat vols out of
@@ -650,6 +685,28 @@ def test_evaluated_curve_is_the_priced_curve(method, config):
     np.testing.assert_allclose(sampled, result.caplet_vols, rtol=1e-12, atol=1e-18)
 
 
+@pytest.mark.parametrize("family", ["flat-linear", "cosine"])
+def test_evaluated_curve_ramps_over_the_result_tenor(family):
+    """A ramp family's transition spans one caplet tenor, which the result
+    carries as its first fixing time: a quarterly result's evaluated curve
+    is its curve with delta = 0.25 on every day, not the monthly one."""
+    forward = ZeroCurve.from_csv(DATA / "libor1m_zero_curve.csv")
+    discount = ZeroCurve.from_csv(DATA / "ois_zero_curve.csv")
+    schedule = build_schedule(forward, discount, 180, tenor_months=3)
+    months = np.array([6, 12, 24, 36, 60, 84, 120, 180])
+    quotes = CapQuoteSet(months, np.linspace(70.0, 95.0, len(months)) * 1e-4, strike=0.01)
+    result = bootstrap_sequential(schedule, quotes, StripConfig(family=family))
+    days = np.arange(1, int(np.floor(result.caplet_times[-1] * 365.0)) + 1) / 365.0
+
+    def curve(delta):
+        ramped = VolCurve(family, result.node_times, result.node_values, delta=delta)
+        return np.maximum(ramped(days), 0.0)
+
+    quarterly = curve(0.25)
+    assert evaluated_curve(result)(days).tobytes() == quarterly.tobytes()
+    assert not np.array_equal(quarterly, curve(1.0 / 12.0))
+
+
 def test_daily_curve_text_matches_the_per_line_format():
     halves_bp = np.array([0.00005, 1.23455, 99.99995, 1234.56785])
     # vols up to three ulps either side of each 4-decimal half, once scaled to bp
@@ -676,7 +733,7 @@ def test_daily_curve_text_matches_the_per_line_format():
     expected = "\n".join(
         ["t_years,caplet_vol_bp"] + ["%.6f,%.4f" % (t, v) for t, v in zip(times, sampled_bp)]
     ) + "\n"
-    text = _daily_curve_text(result, 1)
+    text = _daily_curve_text(result)
     assert text == expected
     assert ",-0.0000\n" in text and ",1234.5678\n" in text and ",1234.5679\n" in text
 
@@ -690,11 +747,11 @@ def _tv_result(times, vols):
     )
 
 
-def _daily_curve_oracle(result, tenor_months):
+def _daily_curve_oracle(result):
     """volcurve_daily.csv as one `%` expression over the interleaved (t, vol) pairs."""
     days = np.arange(1, int(np.floor(result.caplet_times[-1] * 365.0)) + 1)
     times = days / 365.0
-    vols_bp = np.asarray(evaluated_curve(result, tenor_months)(times), dtype=float) * 1e4
+    vols_bp = np.asarray(evaluated_curve(result)(times), dtype=float) * 1e4
     pairs = np.column_stack((times, vols_bp)).ravel()
     return "t_years,caplet_vol_bp\n" + ("%.6f,%.4f\n" * len(times)) % tuple(pairs.tolist())
 
@@ -711,8 +768,8 @@ def test_daily_curve_day_column_is_exact_to_the_horizon():
     """Every day of the 1200-month horizon prints as "%.6f" % (d / 365)."""
     times = np.arange(1, 1201) / 12.0
     vols = np.random.default_rng(3).uniform(-5e-4, 0.05, len(times))
-    text = _daily_curve_text(_tv_result(times, vols), 1)
-    assert text == _daily_curve_oracle(_tv_result(times, vols), 1)
+    text = _daily_curve_text(_tv_result(times, vols))
+    assert text == _daily_curve_oracle(_tv_result(times, vols))
     days = np.arange(1, 36_501)
     assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
         "%.6f" % (d / 365) for d in days
@@ -737,7 +794,7 @@ def test_vol_columns_past_the_integer_digits_print_as_the_format_does(odd):
     times = np.arange(1, len(vols) + 1) / 12.0
     result = _tv_result(times, vols)
     assert _strip_csv_text(result) == _strip_csv_oracle(result)
-    assert _daily_curve_text(result, 1) == _daily_curve_oracle(result, 1)
+    assert _daily_curve_text(result) == _daily_curve_oracle(result)
     # the largest vol that keeps its digits prints through the words
     below = np.nextafter(2.0**52 * 1e-8, 0.0)
     assert _strip_csv_text(_tv_result(times[:1], np.array([below]))).endswith(
@@ -757,7 +814,7 @@ def test_strip_csv_text_matches_the_per_line_format(tenor_months):
         text = _strip_csv_text(result)
         assert text == _strip_csv_oracle(result)
         assert text.splitlines()[1].startswith(f"{tenor_months},")
-        assert _daily_curve_text(result, tenor_months) == _daily_curve_oracle(result, tenor_months)
+        assert _daily_curve_text(result) == _daily_curve_oracle(result)
     # fixings at half months round to the even month, as round does
     halves = _tv_result((np.arange(40) + 0.5) / 12.0, np.full(40, 0.0075))
     assert _strip_csv_text(halves) == _strip_csv_oracle(halves)
@@ -785,8 +842,8 @@ def test_fixture_curves_print_as_the_format_does(ladder):
     peaks = []
     for engine, config in runs:
         result = engine(schedule, quotes, config)
-        daily = _daily_curve_text(result, 1)
-        assert daily == _daily_curve_oracle(result, 1), config
+        daily = _daily_curve_text(result)
+        assert daily == _daily_curve_oracle(result), config
         assert _strip_csv_text(result) == _strip_csv_oracle(result), config
         vols_bp = [float(line.split(",")[1]) for line in daily.splitlines()[1:]]
         assert all(map(math.isfinite, vols_bp)), config
