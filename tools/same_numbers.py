@@ -9,13 +9,14 @@ from it. Run the tool once on a parent tree's `src/` (for example from
 `git archive`) and once on the change's, then `diff` the two outputs: a
 change that keeps every number prints the same lines.
 
-Each configuration is one `capstrip run` or `capstrip compare` command,
-run in process through click's CliRunner, and prints one line: its name,
-its exit code, and digests of its stdout, its stderr, the warnings it
-raised, every artifact it wrote (name and bytes), and every field of every
-StripResult an engine returned, to the bit. Each engine call is made twice,
-once as the run makes it (max_iter 200) and once with max_iter 40, and both
-results are digested; an engine's exception is digested by its message.
+Each configuration is one `capstrip run` or `capstrip compare` command (two
+for a rerun, below), run in process through click's CliRunner, and prints
+one line: its name, its exit code, and digests of its stdout, its stderr,
+the warnings it raised, every artifact it wrote (name and bytes), and
+every field of every StripResult an engine returned, to the bit. Each
+engine call is made twice, once as the run makes it (max_iter 200) and
+once with max_iter 40, and both results are digested; an engine's
+exception is digested by its message.
 The last line counts configurations, artifacts and results.
 
 The grid, on the bundled fixture ladder unless named otherwise:
@@ -29,7 +30,14 @@ The grid, on the bundled fixture ladder unless named otherwise:
 - tenor 3 on a quarterly ladder, and the fixture at tenor 3 (rejected);
 - compare at tenors 1 and 3;
 - pipeline-batch (perfbench/scenarios.py): seeds 1-2, passes 0-2, every slot;
-- rejected inputs: a missing file and a zero-priced global ladder.
+- rejected inputs: a missing file and a zero-priced global ladder;
+- reruns into one --out: bootstrap flat then global cubic mid; outliers
+  report then off (the first run's outliers.csv stays); a full run then a
+  --strict stop; compare at tenor 1 then at tenor 3.
+
+A rerun's line digests the second run's exit code, stdout and stderr, the
+warnings and results of both runs, and the directory as the second run
+left it.
 
 Runs happen in a temporary working directory with relative paths, so the
 digests do not depend on where either tree is checked out.
@@ -131,6 +139,21 @@ def fixture_grid(families):
     return grid
 
 
+def rerun_grid():
+    """(name, CLI arguments, earlier CLI arguments) of runs made twice into one --out."""
+    raw = ["run", *_market()]
+    compare = ["compare", *_market(), "--tenor-months", "1"]
+    quarterly_compare = ["compare", *_market("data/quarterly.csv"), "--tenor-months", "3"]
+    return [
+        ("rerun bootstrap flat, global cubic mid",
+         [*raw, "--method", "global", "--family", "cubic", "--nodes", "mid"],
+         [*raw, "--family", "flat"]),
+        ("rerun outliers report, off", [*raw, "--outliers", "off"], [*raw, "--outliers", "report"]),
+        ("rerun full, strict stop", [*raw, "--outliers", "off", "--strict"], raw),
+        ("rerun compare tenor 1, tenor 3", quarterly_compare, compare),
+    ]
+
+
 def batch_grid(scenarios):
     """(name, CLI arguments) of every pipeline-batch slot, seed and pass."""
     grid = []
@@ -211,12 +234,13 @@ def run_grid(cli, grid):
     log = ResultLog(cli)
     runner = CliRunner()
     files = results = 0
-    for index, (name, args) in enumerate(grid):
+    for index, (name, args, *earlier) in enumerate(grid):
         out = Path(f"out/{index}")
         log.digests.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outcome = runner.invoke(cli.main, [*args, "--out", str(out)])
+            for run_args in (*earlier, args):
+                outcome = runner.invoke(cli.main, [*run_args, "--out", str(out)])
         written = sorted(out.rglob("*")) if out.exists() else []
         artifacts = hashlib.sha256()
         for path in written:
@@ -259,7 +283,7 @@ def main(argv=None):
             + "".join(f"{m},{float(v)!r}\n" for m, v in zip(QUARTERLY_MONTHS, vols))
         )
         Path("data/zero_priced.csv").write_text(ZERO_PRICED)
-        grid = fixture_grid(capstrip.FAMILIES) + batch_grid(scenarios)
+        grid = fixture_grid(capstrip.FAMILIES) + batch_grid(scenarios) + rerun_grid()
         run_grid(cli, grid)
         os.chdir(REPO)
 
