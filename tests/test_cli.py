@@ -5,8 +5,11 @@ market, so the focus here is flag parsing, artifact layout, and exit
 codes; the numerical engines have their own suites.
 """
 
+import io
 import json
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from capstrip import (
     strip_global,
     strip_time_value,
 )
+from capstrip import cli
 from capstrip.cli import (
     RunConfig,
     compare_methods,
@@ -248,9 +252,9 @@ def test_runs_are_deterministic(tmp_path):
 
 
 def test_a_rerun_rewrites_its_artifacts_in_place(tmp_path):
-    """Artifacts an earlier run left in the output directory are truncated
-    and rewritten with the run's bytes, in the same files: a hard link to
-    one reads the new bytes."""
+    """Artifacts an earlier run left in the output directory are overwritten
+    in place and cut to length with the run's bytes, in the same files: a
+    hard link to one reads the new bytes."""
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     assert _invoke(["run", *_market_args(), "--out", str(fresh)]).exit_code == 0
     reused.mkdir()
@@ -262,6 +266,75 @@ def test_a_rerun_rewrites_its_artifacts_in_place(tmp_path):
         if name != "strip.json":  # its config echo holds the output path
             assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
     assert (tmp_path / "linked.csv").read_bytes() == (fresh / "strip.csv").read_bytes()
+
+
+def _run_into(out):
+    return _invoke(["run", *_market_args(), "--out", str(out)])
+
+
+def test_a_rerun_keeps_an_artifacts_mode(tmp_path):
+    assert _run_into(tmp_path).exit_code == 0
+    (tmp_path / "strip.csv").chmod(0o640)
+    assert _run_into(tmp_path).exit_code == 0
+    assert stat.S_IMODE((tmp_path / "strip.csv").stat().st_mode) == 0o640
+
+
+def test_a_rerun_over_shorter_artifacts_writes_a_fresh_runs_bytes(tmp_path):
+    assert _run_into(tmp_path).exit_code == 0
+    fresh = {name: (tmp_path / name).read_bytes() for name in ARTIFACTS}
+    for name in ARTIFACTS:
+        (tmp_path / name).write_bytes(b"x")
+    assert _run_into(tmp_path).exit_code == 0
+    assert {name: (tmp_path / name).read_bytes() for name in ARTIFACTS} == fresh
+
+
+def test_a_rerun_writes_through_a_symlinked_artifact(tmp_path):
+    out, target = tmp_path / "out", tmp_path / "target.csv"
+    assert _run_into(out).exit_code == 0
+    fresh = (out / "strip.csv").read_bytes()
+    target.write_text("stale\n" * 100_000)
+    (out / "strip.csv").unlink()
+    (out / "strip.csv").symlink_to(target)
+    assert _run_into(out).exit_code == 0
+    assert (out / "strip.csv").is_symlink()
+    assert target.read_bytes() == fresh
+
+
+def test_a_compare_rerun_cuts_a_longer_table_to_length(tmp_path):
+    args = ["compare", *_market_args(), "--out", str(tmp_path)]
+    assert _invoke(args).exit_code == 0
+    fresh = (tmp_path / "compare.csv").read_bytes()
+    (tmp_path / "compare.csv").write_text("stale\n" * 100_000)
+    assert _invoke(args).exit_code == 0
+    assert (tmp_path / "compare.csv").read_bytes() == fresh
+
+
+def test_a_rerun_never_cuts_an_artifact_to_zero(tmp_path, monkeypatch):
+    """Each artifact a rerun finds is opened through os.open without O_TRUNC,
+    and cut only at the end of its new bytes: it never passes through zero
+    length."""
+    assert _run_into(tmp_path).exit_code == 0
+    flags, cuts = {}, []
+    real_open = os.open
+
+    def recording_open(path, mode, *args, **kwargs):
+        if Path(path).parent == tmp_path:
+            flags.setdefault(Path(path).name, []).append(mode)
+        return real_open(path, mode, *args, **kwargs)
+
+    class RecordingWriter(io.BufferedWriter):
+        def truncate(self, pos=None):
+            cuts.append(self.tell() if pos is None else pos)
+            return super().truncate(pos)
+
+    monkeypatch.setattr(cli.os, "open", recording_open)
+    monkeypatch.setattr(
+        cli, "open", lambda fd, mode: RecordingWriter(io.FileIO(fd, "w")), raising=False
+    )
+    assert _run_into(tmp_path).exit_code == 0
+    assert sorted(flags) == sorted(ARTIFACTS)
+    assert all(len(opened) == 1 and not opened[0] & os.O_TRUNC for opened in flags.values())
+    assert sorted(cuts) == sorted((tmp_path / name).stat().st_size for name in ARTIFACTS)
 
 
 def test_config_file_fills_defaults_but_flags_win(tmp_path):

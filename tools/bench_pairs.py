@@ -72,12 +72,12 @@ def run_pairs(trees, workloads, pairs, seed_base, seconds):
 
 
 def _value(run, metric):
-    output = run["output"] or {}
+    output = (run or {}).get("output") or {}
     return output.get("metrics", {}).get(metric, {}).get("value")
 
 
 def summarise(runs, metrics):
-    """The summary of BENCH_pr16-19, per workload, with each run's value listed.
+    """The per-workload summary of the BENCH_*.json files, with each run's value listed.
 
     `metrics` maps each end-to-end metric name to its `better` direction.
     """
@@ -87,12 +87,16 @@ def summarise(runs, metrics):
         by_pair = {}
         for run in mine:
             by_pair.setdefault(run["pair"], {})[run["side"]] = run
-        complete = [by_pair[pair] for pair in sorted(by_pair) if len(by_pair[pair]) == 2]
         entry = {}
         for metric, better in metrics.items():
-            values = {side: [_value(pair[side], metric) for pair in complete] for side in SIDES}
-            if not complete or None in values["parent"] + values["change"]:
+            read = [
+                (_value(sides.get("parent"), metric), _value(sides.get("change"), metric))
+                for _, sides in sorted(by_pair.items())
+            ]
+            read = [pair for pair in read if None not in pair]  # pairs with both values
+            if not read:
                 continue
+            values = {"parent": [p for p, _ in read], "change": [c for _, c in read]}
             sign = 1.0 if better == "lower" else -1.0
             stats = {}
             for side in SIDES:
@@ -105,7 +109,7 @@ def summarise(runs, metrics):
                 sign * change < sign * parent
                 for parent, change in zip(values["parent"], values["change"])
             )
-            stats["pairs"] = len(complete)
+            stats["pairs"] = len(read)
             stats["median_change_pct"] = (stats["change_median"] / stats["parent_median"] - 1) * 100
             stats["parent_runs"] = values["parent"]
             stats["change_runs"] = values["change"]

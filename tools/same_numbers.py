@@ -9,14 +9,13 @@ from it. Run the tool once on a parent tree's `src/` (for example from
 `git archive`) and once on the change's, then `diff` the two outputs: a
 change that keeps every number prints the same lines.
 
-Each configuration is one `capstrip run` or `capstrip compare` command (two
-for a rerun, below), run in process through click's CliRunner, and prints
-one line: its name, its exit code, and digests of its stdout, its stderr,
-the warnings it raised, every artifact it wrote (name and bytes), and
-every field of every StripResult an engine returned, to the bit. Each
-engine call is made twice, once as the run makes it (max_iter 200) and
-once with max_iter 40, and both results are digested; an engine's
-exception is digested by its message.
+Each configuration is one `capstrip run` or `capstrip compare` command,
+run in process through click's CliRunner, and prints one line: its name,
+its exit code, and digests of its stdout, its stderr, the warnings it
+raised, every artifact it wrote (name and bytes), and every field of every
+StripResult an engine returned, to the bit. Each engine call is made twice,
+once as the run makes it (max_iter 200) and once with max_iter 40, and both
+results are digested; an engine's exception is digested by its message.
 The last line counts configurations, artifacts and results.
 
 The grid, on the bundled fixture ladder unless named otherwise:
@@ -35,9 +34,9 @@ The grid, on the bundled fixture ladder unless named otherwise:
   report then off (the first run's outliers.csv stays); a full run then a
   --strict stop; compare at tenor 1 then at tenor 3.
 
-A rerun's line digests the second run's exit code, stdout and stderr, the
-warnings and results of both runs, and the directory as the second run
-left it.
+A rerun is two commands into one --out. Its line digests the second
+run's exit code, stdout and stderr, the warnings and results of both runs,
+and the directory as the second run left it.
 
 Runs happen in a temporary working directory with relative paths, so the
 digests do not depend on where either tree is checked out.
