@@ -151,6 +151,22 @@ class CapletTable:
             vols = np.where(live, vols, 1.0)
         return prices, vega, vega * q * q / vols
 
+    def implied_vols(self, targets):
+        """implied_vol_vector on this table, whose B*delta and expiries are positive."""
+        intrinsic = self.intrinsic
+        scale = np.maximum(np.maximum(np.abs(targets), intrinsic), 1e-300)
+        below = targets < intrinsic - 1e-14 * scale
+        if np.any(below):
+            raise NegativeTimeValueError(float((intrinsic - targets)[below][0]))
+
+        vols = np.zeros(len(targets))
+        live = targets > intrinsic
+        atm = live & self.atm
+        vols[atm] = targets[atm] * _SQRT_2PI / self.base_root_t[atm]
+        solve = np.flatnonzero(live & ~atm)
+        vols[solve] = _newton(self[solve], targets[solve] - intrinsic[solve])
+        return vols
+
 
 def price_vector(forwards, strike, expiries, accruals, discounts, vols):
     """Vectorized caplet prices; vols at or below zero price as intrinsic."""
@@ -206,20 +222,7 @@ def implied_vol_vector(forwards, strike, expiries, accruals, discounts, targets)
     )
     if np.any(discounts * accruals <= 0.0) or np.any(expiries <= 0.0):
         raise ValueError("need positive discount, accrual and expiry")
-    table = CapletTable(forwards, strike, expiries, accruals, discounts)
-    intrinsic = table.intrinsic
-    scale = np.maximum(np.maximum(np.abs(targets), intrinsic), 1e-300)
-    below = targets < intrinsic - 1e-14 * scale
-    if np.any(below):
-        raise NegativeTimeValueError(float((intrinsic - targets)[below][0]))
-
-    vols = np.zeros(len(targets))
-    live = targets > intrinsic
-    atm = live & table.atm
-    vols[atm] = targets[atm] * _SQRT_2PI / table.base_root_t[atm]
-    solve = np.flatnonzero(live & ~atm)
-    vols[solve] = _newton(table[solve], targets[solve] - intrinsic[solve])
-    return vols
+    return CapletTable(forwards, strike, expiries, accruals, discounts).implied_vols(targets)
 
 
 def _newton(table, target_tv):

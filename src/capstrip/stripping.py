@@ -6,9 +6,10 @@ solve, and mapped to pricing vols by a VolMap before pricing. The bootstrap
 floors it at zero (ZERO_FLOOR), so that negative values price as zero vol.
 The global solver takes the positivity mode: the zero floor, the positivity
 floor, or the exponential under 'exp'; it differentiates the map exactly
-(EvaluationCore). Each engine call builds one diagnostics.Ladder, the
+(_GlobalProblem). Each engine call builds one diagnostics.Ladder, the
 market side of its quotes, prices the curve off its caplet table, and
-reprices the solved vols against it (_result).
+reprices the solved vols against it (_result), which also decides every
+engine's converged and stop_reason.
 """
 
 import logging
@@ -21,7 +22,7 @@ from scipy.linalg import lapack
 # brentq is not called here; perfbench/spans.py wraps stripping.brentq by name
 from scipy.optimize import brentq  # noqa: F401
 
-from . import bachelier, diagnostics, trust_region
+from . import diagnostics, trust_region
 from .term_structures import InputError
 from .vol_interpolation import (
     VolCurve,
@@ -164,19 +165,34 @@ class StripResult:
         return float(np.min(self.node_values)) * 1e4
 
 
-def _result(ladder, method, taus, values, caplet_vols, config, model=None, **kw):
-    """The StripResult of these caplet vols, repriced unless model holds their cap prices."""
+def _reprices(residuals_bp):
+    """Whether every quote reprices: each residual within PRICE_TOL_BP."""
+    return bool(np.max(np.abs(residuals_bp)) <= PRICE_TOL_BP)
+
+
+def _result(ladder, method, taus, values, caplet_vols, config, stop, model=None, clamped=(), **kw):
+    """The StripResult of these caplet vols, repriced unless model holds their cap prices.
+
+    It has converged when every quote reprices and no node clamped (clamped
+    holds the quote rows of the clamped nodes); its stop_reason is then
+    'priced', and otherwise the engine's stop.
+    """
     if model is None:
         model = ladder.cap_sums(ladder.table.price(caplet_vols))
+    residuals_bp = ladder.residuals_bp(model)
+    converged = not clamped and _reprices(residuals_bp)
     return StripResult(
         method=method,
         quote_months=ladder.quotes.maturities_months.copy(),
         market_prices_bp=ladder.market * 1e4,
-        residuals_bp=ladder.residuals_bp(model),
+        residuals_bp=residuals_bp,
         node_times=taus,
         node_values=np.asarray(values, dtype=float),
         caplet_times=ladder.times,
         caplet_vols=caplet_vols,
+        clamped_months=[int(ladder.quotes.maturities_months[q]) for q in clamped],
+        converged=converged,
+        stop_reason="priced" if converged else stop,
         config=config,
         floor_cost=ladder.floor_cost,
         **kw,
@@ -253,37 +269,6 @@ class _Point(NamedTuple):
     vols: np.ndarray
     cap_prices: np.ndarray
     vegas: np.ndarray
-
-
-class EvaluationCore:
-    """Node values -> vols at the fixings -> cap prices, for one Ladder.
-
-    The curve on nodes taus is sampled at the ladder's fixings through one
-    CurveBasis, mapped by the configuration's VolMap, and its caplets are
-    priced off the ladder's CapletTable.
-    """
-
-    def __init__(self, ladder, taus, config):
-        self.ladder = ladder
-        self.vol_map = VolMap.of(config)
-        self.basis = CurveBasis(config.family, taus, ladder.times, config.beta, ladder.delta)
-
-    def evaluate(self, x):
-        matrix = self.basis.matrix(x)
-        curve = matrix @ x
-        vols = self.vol_map(curve)
-        prices, vegas = self.ladder.table.price_vega(vols)
-        return _Point(matrix, curve, vols, self.ladder.cap_sums(prices), vegas)
-
-    def jacobian(self, point):
-        """d(cap prices)/dx = C diag(vega * dvol/dcurve) W at an evaluated point.
-
-        C sums each cap's caplets; exact wherever the hyman clamp set and
-        the vol map's clamps do not switch. The vegas are the point's, so
-        nothing is priced here.
-        """
-        weights = point.vegas * self.vol_map.slope(point.curve, point.vols)
-        return np.cumsum(weights[:, None] * point.matrix, axis=0)[self.ladder.counts - 1]
 
 
 class _Bracket:
@@ -464,7 +449,7 @@ class _LocalSystem:
 
         least[q] is the least price node q can give cap q: no vol prices
         below intrinsic. The Jacobian is exact off the zero floor's kink,
-        in EvaluationCore.jacobian's cumulative-sum form over the caps,
+        in _GlobalProblem.jacobian's cumulative-sum form over the caps,
         summed from the matrix's nonzeros alone.
         """
         curve = self.matrix @ values
@@ -570,9 +555,9 @@ def bootstrap_sequential(schedule, quotes, config=None):
     no root: the node clamps to zero, the miss is recorded in the
     residuals, and stripping continues. A cap that BRACKET_LIMIT still
     underprices clamps its node there in the same way. stop_reason is
-    'priced' exactly when the ladder reprices (converged), 'clamped' when
-    a node clamped, and otherwise 'approximate': the midpoint pass, or a
-    node solve that ran out of steps.
+    'priced' exactly when the ladder reprices and no node clamped
+    (converged; _result), 'clamped' when a node clamped, and otherwise
+    'approximate': the midpoint pass, or a node solve that ran out of steps.
     """
     config = config or StripConfig()
     if config.placement == "mid" and config.family != "flat":
@@ -608,14 +593,10 @@ def _bootstrap(ladder, config, nodes_only=False):
         values, clamped = _bootstrap_by_node(ladder, config, taus)
     if nodes_only:
         return values
-    clamped = [int(quotes.maturities_months[q]) for q in clamped]
     final = VolCurve(family, taus, values, beta=beta, delta=delta)
     caplet_vols = ZERO_FLOOR(final(times))
-    result = _result(ladder, "bootstrap", taus, values, caplet_vols, config, clamped_months=clamped)
-    result.converged = not clamped and result.max_abs_residual_bp <= PRICE_TOL_BP
-    if not result.converged:
-        result.stop_reason = "clamped" if clamped else "approximate"
-    return result
+    stop = "clamped" if clamped else "approximate"
+    return _result(ladder, "bootstrap", taus, values, caplet_vols, config, stop, clamped=clamped)
 
 
 def _bootstrap_by_node(ladder, config, taus):
@@ -718,12 +699,13 @@ class _GlobalProblem:
     The start is the linear-family bootstrap (flat for flat): family-neutral
     and free of the spline overshoot a same-family start can bake into the
     frozen directions; under 'exp' the family interpolates log-vols.
-    residuals(x) gives the relative price errors and the point evaluated,
-    jacobian(point) their exact derivative. certified(point, cost) holds
-    once the iterate reprices every quote within PRICE_TOL_BP, or its cost
-    is within FLOOR_GAP (relative) of the ladder's arbitrage floor, the
-    least cost any non-negative vols reach. A quote priced at 0 has no
-    relative error, so a ladder with one raises InputError.
+    residuals(x) gives the relative price errors of the curve on the nodes,
+    sampled at the fixings through a CurveBasis and mapped by the VolMap,
+    and the point evaluated; jacobian(point) their exact derivative.
+    certified(point, cost) holds once the iterate reprices every quote, or
+    its cost is within FLOOR_GAP (relative) of the ladder's arbitrage
+    floor, the least cost any non-negative vols reach. A quote priced at 0
+    has no relative error, so a ladder with one raises InputError.
     """
 
     def __init__(self, ladder, config):
@@ -736,49 +718,53 @@ class _GlobalProblem:
             )
         self.ladder, self.config = ladder, config
         self.taus = place_nodes(quotes.maturities_months, ladder.tenor_months, config.placement)
-        self.core = EvaluationCore(ladder, self.taus, config)
-        vol_map = self.core.vol_map
+        vol_map = self.vol_map = VolMap.of(config)
+        self.basis = CurveBasis(config.family, self.taus, ladder.times, config.beta, ladder.delta)
         init_family = "flat" if config.family == "flat" else "linear"
         init = _bootstrap(ladder, replace(config, family=init_family), nodes_only=True)
         self.lower = vol_map.floor if config.positivity in ("nonneg", "floor") else -np.inf
         self.x0 = np.log(np.maximum(init, 1e-4)) if vol_map.log else np.maximum(init, self.lower)
 
     def residuals(self, x):
-        point = self.core.evaluate(x)
+        matrix = self.basis.matrix(x)
+        curve = matrix @ x
+        vols = self.vol_map(curve)
+        prices, vegas = self.ladder.table.price_vega(vols)
+        point = _Point(matrix, curve, vols, self.ladder.cap_sums(prices), vegas)
         market = self.ladder.market
         return (point.cap_prices - market) / market, point
 
     def jacobian(self, point):
-        return self.core.jacobian(point) / self.ladder.market[:, None]
+        """C diag(vega * dvol/dcurve) W / market at an evaluated point, C
+        summing each cap's caplets: exact wherever the hyman clamp set and
+        the vol map's clamps do not switch. Nothing is priced here."""
+        weights = point.vegas * self.vol_map.slope(point.curve, point.vols)
+        cap_jacobian = np.cumsum(weights[:, None] * point.matrix, axis=0)[self.ladder.counts - 1]
+        return cap_jacobian / self.ladder.market[:, None]
 
     def certified(self, point, cost):
         floor = self.ladder.floor_cost
         if floor > 0.0 and 2.0 * cost <= floor * (1.0 + FLOOR_GAP):
             return True
-        # _result's repricing test, on the same prices
-        return np.max(np.abs(self.ladder.residuals_bp(point.cap_prices))) <= PRICE_TOL_BP
+        return _reprices(self.ladder.residuals_bp(point.cap_prices))
 
     def result(self, x, point, nfev, status):
         """The StripResult at x, evaluated at point, after nfev evaluations
         and the stop status (numbered as trust_region and least_squares
         number them)."""
-        vol_map = self.core.vol_map
-        values = vol_map(x) if vol_map.log else x
-        result = _result(
-            self.ladder, "global", self.taus, values, point.vols, self.config,
-            model=point.cap_prices, iterations=nfev, curve_values=x if vol_map.log else None,
+        log = self.vol_map.log
+        return _result(
+            self.ladder, "global", self.taus, self.vol_map(x) if log else x, point.vols,
+            self.config, _STOP_TESTS[status], model=point.cap_prices, iterations=nfev,
+            curve_values=x if log else None,
         )
-        # whichever test stopped the solver, only a repriced ladder has converged
-        result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
-        result.stop_reason = "priced" if result.converged else _STOP_TESTS[status]
-        return result
 
 
 def strip_global(schedule, quotes, config=None):
     """Fit all node values at once by bounded least squares.
 
     Minimizes the sum of squared relative price errors (_GlobalProblem)
-    with the exact Jacobian of the evaluation core, from the sequential
+    with their exact Jacobian, from the sequential
     bootstrap values, by trust_region.solve (scipy's least_squares TRF,
     step for step). Positivity modes: 'none' (free nodes), 'exp' (nodes
     parameterised as exponentials), 'nonneg' and 'floor' (the nodes bounded
@@ -835,9 +821,10 @@ def strip_time_value(schedule, quotes, config=None):
     values, anchored at (0, 0), are interpolated on the caplet payment
     grid with the monotone C2 spline. Non-negative increments between
     consecutive payment times plus the caplet intrinsics give
-    arbitrage-free caplet prices, inverted in one array call. As for the
-    node engines, stop_reason is 'priced' exactly when every kept quote
-    reprices within PRICE_TOL_BP (converged), and otherwise 'approximate'.
+    arbitrage-free caplet prices, inverted in one array call on the
+    ladder's caplet table. A kept caplet whose discount factor underflows
+    to 0 has no vol to invert for, and raises InputError. A kept quote that
+    does not reprice stops the result as 'approximate' (_result).
     """
     config = config or StripConfig()
     ladder = diagnostics.Ladder(schedule, quotes)
@@ -864,20 +851,23 @@ def strip_time_value(schedule, quotes, config=None):
         removed.append(int(keep_m[drop]))
         del keep_tv[drop], keep_m[drop]
     ladder = ladder[~np.isin(quotes.maturities_months, removed)]
-    n = ladder.counts[-1]
+    table = ladder.table
+    unpriced = np.flatnonzero(table.base == 0.0)
+    if unpriced.size:
+        # such a caplet prices at 0 at every vol, so no vol inverts its price
+        caps = ladder.quotes.maturities_months[ladder.counts > unpriced[0]]
+        raise InputError(
+            "the tv engine cannot invert caplets whose discount factor underflows to 0, "
+            f"in the caps of: {', '.join(f'{m}M' for m in caps)}"
+        )
 
     knot_t = np.concatenate(([0.0], ladder.quotes.maturities_months / 12.0))
     knot_tv = np.concatenate(([0.0], keep_tv))
-    tv_at_pay = build_monotone_c2(knot_t, knot_tv)(schedule.pay_times[:n])
+    tv_at_pay = build_monotone_c2(knot_t, knot_tv)(schedule.pay_times[: ladder.counts[-1]])
     levels = np.maximum.accumulate(np.maximum(tv_at_pay, 0.0))
-    targets = ladder.table.intrinsic + np.diff(levels, prepend=0.0)
-    caplet_vols = bachelier.implied_vol_vector(
-        schedule.forwards[:n], quotes.strike, schedule.fixing_times[:n],
-        schedule.accruals[:n], schedule.discounts[:n], targets,
+    targets = table.intrinsic + np.diff(levels, prepend=0.0)
+    caplet_vols = table.implied_vols(targets)
+    return _result(
+        ladder, "tv", knot_t[1:], keep_tv, caplet_vols, config, "approximate",
+        removed_months=removed,
     )
-
-    result = _result(ladder, "tv", knot_t[1:], keep_tv, caplet_vols, config, removed_months=removed)
-    result.converged = result.max_abs_residual_bp <= PRICE_TOL_BP
-    if not result.converged:
-        result.stop_reason = "approximate"
-    return result

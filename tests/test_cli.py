@@ -541,6 +541,37 @@ def test_tv_states_a_far_quote_it_cannot_reprice(tmp_path):
     assert payload["stop_reason"] == "approximate"
 
 
+def test_tv_rejects_a_discount_factor_that_underflows_to_0(tmp_path):
+    """A discount curve at 10,000% by 120M underflows the discount factors
+    around it to 0, and the 240M cap holds those caplets. Their price is 0
+    at every vol, so tv has nothing to invert for: one error line naming
+    the cap, exit 1, no warning and nothing written. bootstrap and global
+    price those caplets at 0 and run."""
+    curves = {
+        "projection.csv": "maturity_months,zero_rate_pct\n1,0\n240,0\n",
+        "discount.csv": "maturity_months,zero_rate_pct\n1,0\n120,10000\n240,0\n",
+        "quotes.csv": "maturity_months,flat_vol_bp\n60,50\n240,80\n",
+    }
+    for name, text in curves.items():
+        (tmp_path / name).write_text(text)
+    market = [
+        "--projection-curve", str(tmp_path / "projection.csv"),
+        "--discount-curve", str(tmp_path / "discount.csv"),
+        "--quotes", str(tmp_path / "quotes.csv"),
+    ]
+    for method in ("tv", "bootstrap", "global"):
+        out = tmp_path / method
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = _invoke(["run", *market, "--method", method, "--out", str(out)])
+        if method == "tv":
+            _assert_rejected(result, out)
+            assert result.stderr.rstrip().endswith("underflows to 0, in the caps of: 240M")
+        else:
+            assert result.exit_code == 0, result.output
+            assert not result.stderr
+
+
 # (quotes CSV, strike bp, the maturities priced at 0): zero flat vols out of
 # the money, and a deep out-of-the-money price that underflows
 ZERO_PRICED_LADDERS = [

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 import capstrip as cs
 from capstrip.cli import _STANDARD_ROWS, compare_methods
 from capstrip.diagnostics import Ladder
-from capstrip.stripping import FLOOR_GAP, PRICE_TOL_BP, CurveBasis, EvaluationCore
+from capstrip.stripping import FLOOR_GAP, PRICE_TOL_BP, CurveBasis, _GlobalProblem
 from capstrip.vol_interpolation import basis_matrix, hermite_basis, hyman_slopes
 
 
@@ -339,7 +339,9 @@ def test_global_start_bootstraps_the_nodes_alone(
     the full result's, to the bit, and no curve or result is built for them.
     The start runs on the global call's own ladder: one Ladder is built and
     the market is priced once. So do decompose, the tv engine, whose kept
-    quotes are a cut of its one ladder, and the bootstrap."""
+    quotes are a cut of its one ladder, and the bootstrap. Beyond the
+    market's pricing, each builds one CapletTable, its Ladder's: tv inverts
+    on that table."""
     ladder_quotes = quotes if ladder == "raw" else clean_quotes
     shared = Ladder(schedule, ladder_quotes)
     configs = [cs.StripConfig(family=family) for family in cs.FAMILIES] + [
@@ -351,43 +353,45 @@ def test_global_start_bootstraps_the_nodes_alone(
         assert nodes.tobytes() == result.node_values.tobytes(), config
 
     built = []
-    for owner, name in (
-        (cs.stripping, "VolCurve"),
-        (cs.diagnostics, "Ladder"),
-        (cs.stripping, "_result"),
-        (cs.diagnostics, "cap_prices"),
+    for owner, name, label in (
+        (cs.stripping, "VolCurve", "VolCurve"),
+        (cs.diagnostics, "Ladder", "Ladder"),
+        (cs.stripping, "_result", "result"),
+        (cs.diagnostics, "cap_prices", "cap_prices"),
+        (cs.bachelier.CapletTable, "__init__", "CapletTable"),
     ):
 
-        def counted(*args, name=name.lstrip("_"), build=getattr(owner, name), **kwargs):
-            built.append(name)
+        def counted(*args, label=label, build=getattr(owner, name), **kwargs):
+            built.append(label)
             return build(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    # cap_prices prices the market on a table of its own, then Ladder builds its table
+    market = ["Ladder", "cap_prices", "CapletTable", "CapletTable"]
     cs.strip_global(schedule, ladder_quotes, cs.StripConfig(family="cubic", placement="mid"))
-    assert built == ["Ladder", "cap_prices", "result"]
+    assert built == [*market, "result"]
     built.clear()
     cs.decompose(schedule, ladder_quotes)
-    assert built == ["Ladder", "cap_prices"]
+    assert built == market
     built.clear()
     result = cs.strip_time_value(schedule, ladder_quotes)
-    assert built == ["Ladder", "cap_prices", "result"]
+    assert built == [*market, "result"]
     assert bool(result.removed_months) == (ladder == "raw")
     built.clear()
     cs.bootstrap_sequential(schedule, ladder_quotes, cs.StripConfig(family="cubic"))
     monkeypatch.undo()
-    assert built == ["Ladder", "cap_prices", "VolCurve", "result"]
+    assert built == [*market, "VolCurve", "result"]
 
 
 @pytest.mark.parametrize("family", ["linear", "cubic", "hyman"])
 def test_jacobian_makes_no_kernel_pass(monkeypatch, schedule, clean_quotes, family):
     config = cs.StripConfig(family=family, placement="mid")
-    taus = _fixture_nodes(clean_quotes)
-    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config)
+    problem = _GlobalProblem(Ladder(schedule, clean_quotes), config)
     x = 70e-4 + 8e-4 * np.sin(np.arange(len(clean_quotes)))
     passes = _count_kernel_passes(monkeypatch)
-    point = core.evaluate(x)
+    _, point = problem.residuals(x)
     assert passes == ["price_vega"]
-    core.jacobian(point)
+    problem.jacobian(point)
     assert passes == ["price_vega"]
 
 
@@ -908,23 +912,22 @@ def test_hyman_slope_map_covers_every_clamp_kind(quotes):
 @pytest.mark.parametrize("positivity", ["none", "nonneg", "exp"])
 def test_core_jacobian_matches_central_differences(schedule, clean_quotes, family, positivity):
     config = cs.StripConfig(family=family, placement="mid", positivity=positivity)
-    taus = _fixture_nodes(clean_quotes)
-    core = EvaluationCore(Ladder(schedule, clean_quotes), taus, config)
+    problem = _GlobalProblem(Ladder(schedule, clean_quotes), config)
     # positive nodes keep the curve off the zero floor; for hyman, points
     # inside a clamp set with no bound active, and with an upper and a
     # lower bound active (nodes 1 and 4)
-    node_sets = [70.0 + 8.0 * np.sin(np.arange(len(taus)))]
+    node_sets = [70.0 + 8.0 * np.sin(np.arange(len(clean_quotes)))]
     if family == "hyman":
         node_sets.append(np.array([40, 10, 300, 310, 20, 250, 240, 260, 30, 200, 210.0]))
     for values in node_sets:
         x = np.log(values * 1e-4) if positivity == "exp" else values * 1e-4
-        jacobian = core.jacobian(core.evaluate(x))
+        jacobian = problem.jacobian(problem.residuals(x)[1])
         h = 1e-5 * np.max(np.abs(x))
         for k in range(len(x)):
             bump = np.zeros(len(x))
             bump[k] = h
-            up = core.evaluate(x + bump).cap_prices
-            down = core.evaluate(x - bump).cap_prices
+            up = problem.residuals(x + bump)[0]
+            down = problem.residuals(x - bump)[0]
             central = (up - down) / (2.0 * h)
             scale = np.max(np.abs(central))
             assert scale > 0.0
@@ -1044,20 +1047,28 @@ BOOTSTRAP_CONFIGS = [cs.StripConfig(family=family) for family in cs.FAMILIES] + 
 ]
 
 
-def test_priced_exactly_when_converged(schedule, quotes, clean_quotes, global_grid):
-    """Both node engines read 'priced' exactly when they have converged: the
-    ladder reprices, and no bootstrap node clamped."""
+def test_priced_exactly_when_converged(
+    schedule, forward_curve, discount_curve, quotes, clean_quotes, global_grid
+):
+    """Every engine reads 'priced' exactly when it has converged: the
+    ladder reprices, and no bootstrap node clamped. tv reads 'approximate'
+    otherwise, as on a far quote so large (240M at 1e305 bp) that no vol
+    reprices its cap."""
     bootstraps = [
         cs.bootstrap_sequential(schedule, chosen, config)
         for chosen in (quotes, clean_quotes)
         for config in BOOTSTRAP_CONFIGS
     ]
-    for result in [*global_grid.values(), *bootstraps]:
+    tvs = [cs.strip_time_value(schedule, chosen) for chosen in (quotes, clean_quotes)]
+    far = cs.add_synthetic_far_quote(quotes, 240, 1e305 * 1e-4)
+    tvs.append(cs.strip_time_value(cs.build_schedule(forward_curve, discount_curve, 240), far))
+    for result in [*global_grid.values(), *bootstraps, *tvs]:
         assert (result.stop_reason == "priced") == result.converged, result.config
         repriced = result.max_abs_residual_bp <= PRICE_TOL_BP
         assert result.converged == (repriced and not result.clamped_months), result.config
     reasons = {result.stop_reason for result in bootstraps}
     assert reasons == {"priced", "clamped", "approximate"}
+    assert [result.stop_reason for result in tvs] == ["priced", "priced", "approximate"]
 
 
 @pytest.mark.parametrize("ladder", ["raw", "clean"])

@@ -3,11 +3,14 @@
 Usage:
 
     python tools/same_numbers.py SRC_DIR > digests.txt
+    python tools/same_numbers.py SRC_DIR OTHER_SRC_DIR
 
 SRC_DIR is the `src/` directory of the tree to run; capstrip is imported
-from it. Run the tool once on a parent tree's `src/` (for example from
-`git archive`) and once on the change's, then `diff` the two outputs: a
-change that keeps every number prints the same lines.
+from it. Given one tree, the tool prints its digests. Given two (for
+example a parent tree's `src/` from `git archive` and the change's), it
+runs each in its own interpreter, prints every configuration whose line
+differs, with both lines, and each tree's count line, and exits 1 on any
+difference and 0 when the trees give the same numbers.
 
 Each configuration is one `capstrip run` or `capstrip compare` command,
 run in process through click's CliRunner, and prints one line: its name,
@@ -47,6 +50,7 @@ import dataclasses
 import hashlib
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -260,10 +264,63 @@ def run_grid(cli, grid):
     print(f"# {len(grid)} configurations, {files} artifacts, {results} results")
 
 
+def differences(lines, other_lines):
+    """(name, line, other line) of every configuration whose digest line
+    differs between two outputs, in the order the configurations first
+    appear; a side that lacks the configuration reads None. Count lines
+    (starting '#') are no configuration and are left out."""
+    by_name, other_by_name = (
+        {line.split(" | ", 1)[0]: line for line in output if not line.startswith("#")}
+        for output in (lines, other_lines)
+    )
+    names = list(by_name) + [name for name in other_by_name if name not in by_name]
+    return [
+        (name, by_name.get(name), other_by_name.get(name))
+        for name in names
+        if by_name.get(name) != other_by_name.get(name)
+    ]
+
+
+def comparison(labels, outputs):
+    """(report lines, exit status) for two trees' digest lines, each ending
+    in its count line: each configuration that differs with both lines,
+    each tree's count line, and a verdict; the status is 1 on any
+    difference, else 0."""
+    found = differences(*outputs)
+    report = []
+    for name, *sides in found:
+        report.append(name)
+        report += [f"  {label}: {line or '(missing)'}" for label, line in zip(labels, sides)]
+    report += [f"{label}: {output[-1]}" for label, output in zip(labels, outputs)]
+    report.append(f"configurations that differ: {len(found)}" if found else "identical")
+    return report, int(bool(found))
+
+
+def _digest_lines(src):
+    """The digest lines of one tree, from a run of this tool in a fresh interpreter."""
+    run = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), str(src)],
+        capture_output=True, text=True, check=False,
+    )
+    if run.returncode:
+        raise SystemExit(f"digests of {src} exited {run.returncode}:\n{run.stderr}")
+    return run.stdout.splitlines()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="the src/ directory to import capstrip from")
-    src = parser.parse_args(argv).src.resolve()
+    parser.add_argument(
+        "other", type=Path, nargs="?",
+        help="a second src/ directory: print the configurations whose lines differ",
+    )
+    args = parser.parse_args(argv)
+    if args.other is not None:
+        labels = [str(args.src), str(args.other)]
+        report, status = comparison(labels, [_digest_lines(src) for src in (args.src, args.other)])
+        print("\n".join(report))
+        raise SystemExit(status)
+    src = args.src.resolve()
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
     import capstrip
     import scenarios
