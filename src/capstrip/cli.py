@@ -46,6 +46,7 @@ import numpy as np
 
 from .diagnostics import CapQuoteSet, decompose, detect_outliers
 from .stripping import (
+    PLACEMENTS,
     StripConfig,
     VolMap,
     add_synthetic_far_quote,
@@ -54,21 +55,26 @@ from .stripping import (
     strip_time_value,
 )
 from .term_structures import InputError, ZeroCurve, build_schedule
-from .vol_interpolation import FAMILIES, VolCurve, check_family
+from .vol_interpolation import FAMILIES, VolCurve
 
 # click's usage errors normally exit 2; that code is reserved for the strict
 # arbitrage signal, so downgrade them to plain input errors
 click.exceptions.UsageError.exit_code = 1
 
 _METHODS = ("tv", "bootstrap", "global")
-_NODE_CHOICES = ("maturity", "mid")
 _OUTLIER_POLICIES = ("off", "report", "remove")
 _CURVE_INTERPS = ("loglinear", "cubic")
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """One pipeline run, fully specified; mirrors the CLI flag surface."""
+    """One pipeline run, fully specified; mirrors the CLI flag surface.
+
+    Every value is checked here, before any file is read. The engine's
+    settings are checked by the StripConfig that becomes strip_config, a
+    plain attribute rather than a field, so dataclasses.asdict echoes the
+    flag values alone.
+    """
 
     projection_curve: str
     discount_curve: str
@@ -90,18 +96,27 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        # os.PathLike paths are kept as the str the JSON echo can hold
+        for name in ("projection_curve", "discount_curve", "quotes"):
+            if not getattr(self, name):
+                label = name.replace("_", " ")
+                raise InputError(f"{label} CSV path is required (flag or config file)")
+        # os.PathLike paths are kept as the str the JSON echo can hold,
+        # and numbers as the float it prints them as
         for name in ("projection_curve", "discount_curve", "quotes", "out_dir"):
             object.__setattr__(self, name, os.fspath(getattr(self, name)))
+        for name in ("strike_bp", "beta", "floor_bp", "mad_threshold", "far_quote_vol_bp"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.strike_bp < -1000.0:
             raise InputError("strike must be at least -1000 bp")
         if self.tenor_months < 1:
             raise InputError("tenor must be at least 1 month")
         if self.method not in _METHODS:
             raise InputError(f"method must be one of {_METHODS}; got {self.method!r}")
-        check_family(self.family)
-        if self.nodes not in _NODE_CHOICES:
-            raise InputError("nodes must be 'maturity' or 'mid'")
+        strip_config = StripConfig(
+            family=self.family, placement=self.nodes, beta=self.beta,
+            positivity=self.positivity, floor_bp=self.floor_bp,
+        )
+        object.__setattr__(self, "strip_config", strip_config)
         if self.positivity != "none" and self.method != "global":
             raise InputError(
                 f"positivity {self.positivity!r} needs --method global; got {self.method!r}"
@@ -113,7 +128,9 @@ class RunConfig:
         if self.curve_interp not in _CURVE_INTERPS:
             raise InputError(f"curve interpolation must be one of {_CURVE_INTERPS}")
         if self.far_quote_months < 0:
-            raise InputError("far quote months must be positive")
+            raise InputError("far quote months must not be negative (0: no far quote)")
+        if not self.far_quote_months and not np.isnan(self.far_quote_vol_bp):
+            raise InputError("a far quote vol needs far quote months")
 
 
 def _engine(method):
@@ -466,13 +483,6 @@ def run_pipeline(config):
     result and artifact text is computed before the first file is written.
     """
     schedule, quotes = _load_market(config)
-    strip_cfg = StripConfig(
-        family=config.family,
-        placement=config.nodes,
-        beta=config.beta,
-        positivity=config.positivity,
-        floor_bp=config.floor_bp,
-    )
 
     out = Path(config.out_dir)
     report = decompose(schedule, quotes)
@@ -493,7 +503,7 @@ def run_pipeline(config):
         vol = None if np.isnan(config.far_quote_vol_bp) else config.far_quote_vol_bp * 1e-4
         quotes = add_synthetic_far_quote(quotes, config.far_quote_months, vol)
 
-    result = _engine(config.method)(schedule, quotes, strip_cfg)
+    result = _engine(config.method)(schedule, quotes, config.strip_config)
 
     files["strip.csv"] = _strip_csv_text(result)
     files["strip.json"] = _strip_json_text(result, config)
@@ -565,6 +575,8 @@ def _parse_far_quote(text):
         months = int(head)
     except ValueError:
         raise InputError(f"far quote months must be an integer; got {head!r}") from None
+    if months < 1:
+        raise InputError(f"far quote months must be at least 1; got {months}")
     if not sep:
         return months, float("nan")
     try:
@@ -656,16 +668,6 @@ def _market_options(command):
     return command
 
 
-def _require_paths(values):
-    for key, label in (
-        ("projection_curve", "projection curve"),
-        ("discount_curve", "discount curve"),
-        ("quotes", "quotes"),
-    ):
-        if not values[key]:
-            raise InputError(f"{label} CSV path is required (flag or config file)")
-
-
 @main.command()
 @_market_options
 @click.option("--method", type=click.Choice(_METHODS), default="bootstrap", show_default=True,
@@ -674,7 +676,7 @@ def _require_paths(values):
               help="Vol interpolation family.")
 @click.option("--beta", type=float, default=1.0, show_default=True,
               help="Kernel transition width as a fraction of the tenor.")
-@click.option("--nodes", type=click.Choice(_NODE_CHOICES), default="maturity",
+@click.option("--nodes", type=click.Choice(PLACEMENTS), default="maturity",
               show_default=True, help="Node placement.")
 @click.option("--positivity", default="none", show_default=True,
               help="Positivity handling: none, exp, nonneg, or floor=<bp>.")
@@ -693,28 +695,12 @@ def run(ctx, config_path, **values):
     """Strip caplet vols from a cap ladder and write reports."""
     try:
         values = _merge_json_config(ctx, values, config_path)
-        _require_paths(values)
-        positivity, floor_bp = _parse_positivity(values["positivity"])
-        far_months, far_vol_bp = _parse_far_quote(values["far_quote"])
+        out = values.pop("out")
+        positivity, floor_bp = _parse_positivity(values.pop("positivity"))
+        far_months, far_vol_bp = _parse_far_quote(values.pop("far_quote"))
         config = RunConfig(
-            projection_curve=values["projection_curve"],
-            discount_curve=values["discount_curve"],
-            quotes=values["quotes"],
-            strike_bp=float(values["strike_bp"]),
-            tenor_months=int(values["tenor_months"]),
-            method=values["method"],
-            family=values["family"],
-            beta=float(values["beta"]),
-            nodes=values["nodes"],
-            positivity=positivity,
-            floor_bp=floor_bp,
-            outliers=values["outliers"],
-            mad_threshold=float(values["mad_threshold"]),
-            far_quote_months=far_months,
-            far_quote_vol_bp=far_vol_bp,
-            curve_interp=values["curve_interp"],
-            strict=bool(values["strict"]),
-            out_dir=values["out"],
+            **values, out_dir=out, positivity=positivity, floor_bp=floor_bp,
+            far_quote_months=far_months, far_quote_vol_bp=far_vol_bp,
         )
         code = run_pipeline(config)
     except (InputError, OSError) as exc:
@@ -729,17 +715,8 @@ def run(ctx, config_path, **values):
 def compare(ctx, **values):
     """Reprice-error table across the nine standard configurations."""
     try:
-        _require_paths(values)
-        schedule, quotes = _load_market(
-            RunConfig(
-                projection_curve=values["projection_curve"],
-                discount_curve=values["discount_curve"],
-                quotes=values["quotes"],
-                strike_bp=float(values["strike_bp"]),
-                tenor_months=int(values["tenor_months"]),
-                curve_interp=values["curve_interp"],
-            )
-        )
+        out = values.pop("out")
+        schedule, quotes = _load_market(RunConfig(**values, out_dir=out))
         rows = compare_methods(schedule, quotes)
         labels, vols, nodes, errors = zip(*rows)
         text = _csv_rows(
@@ -749,7 +726,7 @@ def compare(ctx, **values):
             (_bp_words, nodes),
             (_text_words, [f"{err:.2e}" for err in errors]),
         )
-        _write_files(Path(values["out"]), {"compare.csv": text})
+        _write_files(Path(out), {"compare.csv": text})
         width = max(len(label) for label, *_ in rows)
         click.echo(f"{'method':<{width}}  {'min vol':>9}  {'min node':>9}  reprice err")
         for label, vol, node, err in rows:

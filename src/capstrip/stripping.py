@@ -50,6 +50,8 @@ _STOP_TESTS = {
     trust_region.FTOL: "ftol", trust_region.XTOL: "xtol", trust_region.FTOL_XTOL: "ftol",
 }
 
+PLACEMENTS = ("maturity", "mid")  # node placements place_nodes knows
+
 _log = logging.getLogger(__name__)
 
 
@@ -102,6 +104,8 @@ class StripConfig:
 
     def __post_init__(self):
         check_family(self.family)
+        if self.placement not in PLACEMENTS:
+            raise InputError(f"unknown node placement {self.placement!r}")
         check_beta(self.beta)
         if self.positivity not in ("none", "exp", "nonneg", "floor"):
             raise InputError(f"unknown positivity mode {self.positivity!r}")

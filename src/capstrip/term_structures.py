@@ -145,6 +145,12 @@ class CapletSchedule:
         return n
 
 
+def _month_runs(months, step):
+    """Increasing months as runs of consecutive steps, each "aM-bM" or "aM"."""
+    runs = np.split(months, np.flatnonzero(np.diff(months) != step) + 1)
+    return ", ".join(f"{r[0]}M" if len(r) == 1 else f"{r[0]}M-{r[-1]}M" for r in runs)
+
+
 def build_schedule(forward_curve, discount_curve, max_maturity_months, tenor_months=1):
     """Build the caplet grid out to the last cap maturity, at most MAX_HORIZON_MONTHS."""
     if max_maturity_months > MAX_HORIZON_MONTHS:
@@ -159,6 +165,15 @@ def build_schedule(forward_curve, discount_curve, max_maturity_months, tenor_mon
     t_fix = fix_months / 12.0
     t_pay = (fix_months + tenor_months) / 12.0
     accrual = np.full(len(fix_months), tenor_months / 12.0)
-    forwards = forward_curve.forward_rate(t_fix, t_pay)
-    discounts = discount_curve.discount_factor(t_pay)
+    # a curve steep enough takes exp past the float range; name the caplets
+    # it reaches instead of pricing them at inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        forwards = forward_curve.forward_rate(t_fix, t_pay)
+        discounts = discount_curve.discount_factor(t_pay)
+    bad = ~(np.isfinite(forwards) & np.isfinite(discounts))
+    if np.any(bad):
+        raise InputError(
+            "the curves' forwards or discount factors pass the float range "
+            f"for the caplets fixing at: {_month_runs(fix_months[bad], tenor_months)}"
+        )
     return CapletSchedule(t_fix, t_pay, accrual, forwards, discounts, tenor_months)

@@ -5,6 +5,7 @@ market, so the focus here is flag parsing, artifact layout, and exit
 codes; the numerical engines have their own suites.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from click.testing import CliRunner
 from capstrip import (
     FAMILIES,
     CapQuoteSet,
+    InputError,
     StripConfig,
     StripResult,
     VolCurve,
@@ -201,6 +203,15 @@ def test_missing_input_file_exits_one(tmp_path):
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ")
     assert not out.exists()  # inputs are parsed before anything is written
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_missing_path_flag_exits_one(tmp_path, command):
+    out = tmp_path / "out"
+    market = _market_args()[:-2]  # no --quotes
+    result = _invoke([command, *market, "--out", str(out)])
+    _assert_rejected(result, out)
+    assert result.stderr == "error: quotes CSV path is required (flag or config file)\n"
 
 
 def test_malformed_quote_cell_is_located(tmp_path):
@@ -572,6 +583,86 @@ def test_tv_rejects_a_discount_factor_that_underflows_to_0(tmp_path):
             assert not result.stderr
 
 
+FIXTURE_QUOTES = (DATA / "cap_quotes.csv").read_text()
+# (projection, discount, quotes, extra flags, the fixing months named): each
+# curve takes exp past the float range. A price of inf times 0 from a zero
+# flat vol is nan, and a 240M quote past the fixture ladder prices on
+# overflowed caplets that outlier removal keeps
+OVERFLOWING_CURVES = [
+    ("1,0\n240,0", "1,0\n120,-10000\n240,0", "60,50\n240,80", [], "85M-153M"),
+    ("1,0\n240,0", "1,0\n120,-10000\n240,0", "60,0\n240,0", ["--strike-bp", "1000"],
+     "85M-153M"),
+    (None, "1,0\n180,0\n210,-10000\n240,0", FIXTURE_QUOTES.split("\n", 1)[1] + "240,0",
+     ["--strike-bp", "1000", "--outliers", "remove"], "192M-226M"),
+    ("1,0\n2,-1000000\n3,0\n240,0", "1,0\n240,0", "60,50\n240,80", [], "2M"),
+]
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_CURVES)
+def test_a_curve_past_the_float_range_writes_nothing(tmp_path, case):
+    """Every method, and compare, ends with one error line naming the
+    caplets' fixing months, exit 1, no warning and nothing written."""
+    projection, discount, quotes, flags, months = case
+    files = {
+        "projection.csv": "maturity_months,zero_rate_pct\n" + (projection or ""),
+        "discount.csv": "maturity_months,zero_rate_pct\n" + discount,
+        "quotes.csv": "maturity_months,flat_vol_bp\n" + quotes,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    market = [
+        "--projection-curve",
+        str(tmp_path / "projection.csv") if projection else str(DATA / "libor1m_zero_curve.csv"),
+        "--discount-curve", str(tmp_path / "discount.csv"),
+        "--quotes", str(tmp_path / "quotes.csv"),
+    ]
+    commands = [["run", "--method", method] for method in ("tv", "bootstrap", "global")]
+    for command in [*commands, ["compare"]]:
+        out = tmp_path / command[-1]
+        extra = flags if command[0] == "run" else flags[:2]  # compare has no --outliers
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = _invoke([*command, *market, *extra, "--out", str(out)])
+        assert not caught, [str(w.message) for w in caught]
+        _assert_rejected(result, out)
+        assert result.stderr.rstrip().endswith(f"for the caplets fixing at: {months}")
+
+
+def test_a_far_quote_at_a_removed_quotes_month_takes_the_last_kept_vol(tmp_path):
+    """With 180M at 300 bp, MAD flags 180M and --outliers remove drops it.
+    A far quote at 180M then stands in its place, at the vol of the last
+    kept quote, 120M at 76.90 bp, just as if that vol were given."""
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_text(FIXTURE_QUOTES.replace("180,76.34", "180,300"))
+    market = _market_args()
+    market[market.index("--quotes") + 1] = str(quotes)
+    payloads = []
+    for far in ("180", "180:76.9"):
+        out = tmp_path / far.replace(":", "_")
+        result = _invoke(
+            ["run", *market, "--outliers", "remove", "--far-quote", far, "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads((out / "strip.json").read_text())
+        assert payload.pop("config")["far_quote_months"] == 180
+        payloads.append(payload)
+        assert (out / "outliers.csv").read_text().splitlines()[-1].endswith(",1")
+    assert payloads[0]["quote_months"][-2:] == [120, 180]
+    assert payloads[0]["node_values_bp"][-1] == pytest.approx(76.9, abs=1e-9)
+    assert payloads[0] == payloads[1]
+
+
+def test_run_config_mirrors_the_flag_surface():
+    """run hands click's values to RunConfig by name, and a JSON config
+    takes the same keys: a flag must reach all three."""
+    flags = {param.name for param in cli.run.params} - {"config_path"}
+    assert set(cli._CONFIG_TYPES) == flags
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert fields == flags - {"out", "positivity", "far_quote"} | {
+        "out_dir", "positivity", "floor_bp", "far_quote_months", "far_quote_vol_bp",
+    }
+
+
 # (quotes CSV, strike bp, the maturities priced at 0): zero flat vols out of
 # the money, and a deep out-of-the-money price that underflows
 ZERO_PRICED_LADDERS = [
@@ -740,6 +831,15 @@ def test_non_finite_curve_rate_is_rejected(tmp_path):
     _assert_rejected(result, out)
 
 
+def _config_files(tmp_path, flags):
+    """flags, with a dict among them written to a JSON config file and replaced by its path."""
+    config = tmp_path / "run.json"
+    for flag in flags:
+        if isinstance(flag, dict):
+            config.write_text(json.dumps(flag))
+    return [str(config) if isinstance(flag, dict) else flag for flag in flags]
+
+
 @pytest.mark.parametrize(
     "flags,word",
     [
@@ -750,13 +850,44 @@ def test_non_finite_curve_rate_is_rejected(tmp_path):
         (["--far-quote", "999999999999999"], "horizon"),
         (["--mad-threshold", "inf"], "MAD"),
         (["--far-quote", "240:1e308"], "240M"),
+        # 0 months once meant no far quote, and its vol was echoed unused
+        (["--far-quote", "0:80"], "at least 1"),
+        (["--far-quote", "0"], "at least 1"),
+        (["--config", {"far_quote": 0}], "at least 1"),
     ],
 )
 def test_out_of_range_flag_writes_nothing(tmp_path, flags, word):
     out = tmp_path / "out"
-    result = _invoke(["run", *_market_args(), *flags, "--out", str(out)])
+    result = _invoke(["run", *_market_args(), *_config_files(tmp_path, flags), "--out", str(out)])
     _assert_rejected(result, out)
     assert word in result.stderr
+
+
+def test_a_far_quote_vol_needs_far_quote_months():
+    with pytest.raises(InputError, match="far quote months"):
+        RunConfig("p.csv", "d.csv", "q.csv", far_quote_vol_bp=80.0)
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--family", "cosine", "--beta", "2"], "beta must lie in [0, 1]"),
+        (["--config", {"nodes": "edge"}], "unknown node placement 'edge'"),
+        (["--method", "global", "--positivity", "floor=-1"], "floor must be a non-negative"),
+        (["--config", {"family": "quartic"}], "unknown vol family 'quartic'"),
+        (["--far-quote", "0:80"], "far quote months must be at least 1; got 0"),
+    ],
+)
+@pytest.mark.parametrize("missing", ["projection_curve", "discount_curve", "quotes"])
+def test_settings_are_checked_before_any_file_is_read(tmp_path, flags, message, missing):
+    """A bad setting is named even when an input file is missing: every
+    setting is checked before the first file is opened."""
+    market = _market_args()
+    market[market.index("--" + missing.replace("_", "-")) + 1] = str(tmp_path / "missing.csv")
+    out = tmp_path / "out"
+    result = _invoke(["run", *market, *_config_files(tmp_path, flags), "--out", str(out)])
+    _assert_rejected(result, out)
+    assert result.stderr.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("method", ["bootstrap", "tv"])

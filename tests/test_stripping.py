@@ -82,6 +82,12 @@ def test_node_placement_validation():
         cs.place_nodes([2, 3], 1, "centred")
 
 
+def test_strip_config_rejects_an_unknown_placement():
+    """A bad placement fails where the config is made, before any ladder is priced."""
+    with pytest.raises(cs.InputError, match="unknown node placement 'edge'"):
+        cs.StripConfig(placement="edge")
+
+
 def test_synthetic_far_quote(quotes):
     extended = cs.add_synthetic_far_quote(quotes, 600)
     assert len(extended) == len(quotes) + 1

@@ -1,5 +1,7 @@
 """Zero curves, discount factors, and caplet schedules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,23 @@ def test_schedule_horizon_is_bounded(forward_curve, discount_curve):
         cs.build_schedule(forward_curve, discount_curve, 1212, tenor_months=12)
     with pytest.raises(cs.InputError, match="horizon"):
         cs.build_schedule(forward_curve, discount_curve, 10**400)
+
+
+@pytest.mark.parametrize(
+    "tenor_months,months", [(1, "85M-136M, 192M-226M"), (3, "84M-132M, 192M-222M")]
+)
+def test_schedule_names_the_caplets_whose_discount_factor_overflows(tenor_months, months):
+    """log B peaks at 1000 at 120M and 1750 at 210M, and exp passes the
+    float range wherever log B passes 709.78: on pay months 86-137 and
+    193-227. The error names the fixing months of those caplets, one
+    tenor earlier, as runs, and numpy warns of nothing."""
+    flat = cs.ZeroCurve([1, 240], [0, 0])
+    steep = cs.ZeroCurve([1, 120, 180, 210, 240], [0, -100, 0, -100, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cs.InputError) as info:
+            cs.build_schedule(flat, steep, 240, tenor_months)
+    assert str(info.value).endswith(f"for the caplets fixing at: {months}")
 
 
 def test_caplet_count(schedule):
