@@ -16,13 +16,23 @@ With one, each iteration scales the variables by the Coleman-Li vector,
 takes the SVD of the Jacobian stacked over the diagonal of the scaling's
 derivative, and picks the best of the trust-region step cut at the bound,
 its reflection, and the Cauchy step (select_step).
+
+The loop runs with the OpenBLAS pool behind scipy's LAPACK held at one
+thread. Its SVDs are small (tens of rows), so a second thread buys no
+speed and can stall the factorisation on a busy machine, and a threaded
+gesdd rounds differently: without the pin, a fit of a few hundred quotes
+ends on nodes that depend on the core count in their last bits.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import _flapack, get_lapack_funcs
 
 EPS = np.finfo(float).eps
 TOL = 1e-15  # ftol, xtol and gtol alike: the stop tests fire only once the fit stalls
@@ -55,6 +65,55 @@ def _norm(v):
     return np.sqrt(v.dot(v))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that scipy's LAPACK
+    calls, or None where that library is not an OpenBLAS that exports them
+    (scipy's bundled build prefixes its symbols with scipy_)."""
+    library = ctypes.CDLL(_flapack.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get = getattr(library, f"{prefix}_get_num_threads")
+            set_ = getattr(library, f"{prefix}_set_num_threads")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # solves running under the pin, across threads
+_pin_restore = None  # the count found when the first of them began
+
+
+@contextlib.contextmanager
+def _one_lapack_thread():
+    """Hold scipy's OpenBLAS pool at one thread; the last of any concurrent
+    holders to leave, by return or raise, restores the count the first found.
+    The count is process-wide, so per-thread counts would not nest."""
+    global _pin_depth, _pin_restore
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_restore)
+
+
+@_one_lapack_thread()
 def solve(residuals, jacobian, x0, max_nfev, lower=-np.inf, certified=None, trace=None):
     """Minimise 0.5 * |f(x)|^2 over x >= lower, from x0 (x0 >= lower), in at
     most max_nfev residual evaluations.
@@ -73,6 +132,9 @@ def solve(residuals, jacobian, x0, max_nfev, lower=-np.inf, certified=None, trac
     Raises StartNotFinite when the start's cost or a column norm of its
     Jacobian is not finite, and ValueError where least_squares' SVD would
     have met a non-finite matrix.
+
+    scipy's OpenBLAS runs on one thread until solve returns or raises, the
+    callbacks included; the count it found is then restored.
     """
     x = np.array(x0, dtype=float)
     n = x.size

@@ -1,6 +1,7 @@
 """The paired-benchmark summariser of tools/bench_pairs.py, on synthetic runs."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ def _run(pair, side, pass_s, rss=90.0, correct=True, failed=0, exit_code=0, work
     }
     return {"workload": workload, "seed": 1 + pair, "pair": pair, "side": side,
             "ran_first": (pair % 2 == 0) == (side == "parent"), "exit_code": exit_code,
-            "output": output, "openblas_num_threads": None}
+            "output": output, "openblas_num_threads": None, "cpu_count": 2}
 
 
 def _pairs(parent, change, **kwargs):
@@ -71,3 +72,17 @@ def test_failed_or_incorrect_runs_and_a_median_past_its_bound_are_problems():
     ]
     # pair 2's change run has no metrics, so two pairs are left: +100% on pass_s
     assert len(found) == 5 and found[4].startswith("w pass_s: change median 0.2 is +100.0%")
+
+
+def test_every_run_records_the_thread_setting_and_the_core_count(monkeypatch):
+    """OPENBLAS_NUM_THREADS as found, and the core count that sizes the pool
+    when it is unset, beside each run in pair order (ABBA)."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *_: (0, {"tree": tree}))
+    runs = bench_pairs.run_pairs({"parent": "P", "change": "C"}, ["w"], 2, 7, 1.0)
+    assert [(run["seed"], run["side"], run["output"]["tree"]) for run in runs] == [
+        (7, "parent", "P"), (7, "change", "C"), (8, "change", "C"), (8, "parent", "P"),
+    ]
+    assert {(run["openblas_num_threads"], run["cpu_count"]) for run in runs} == {
+        ("1", os.cpu_count())
+    }

@@ -11,6 +11,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import capstrip
 from capstrip import (
     FAMILIES,
     CapQuoteSet,
@@ -61,6 +64,20 @@ def _market_args():
 
 def _invoke(args):
     return CliRunner().invoke(main, args)
+
+
+def test_python_m_capstrip_runs_cleanly(tmp_path):
+    """The module form runs the command line with nothing on stderr: no
+    runpy warning about capstrip.cli, which the package imports."""
+    src = str(Path(capstrip.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "capstrip", "run", *_market_args(), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(ARTIFACTS)
 
 
 @pytest.fixture(scope="module")

@@ -12,8 +12,9 @@ runs first in even pairs and the change first in odd ones (ABBA). Each
 workload's pairs run before the next workload's.
 
 Every run is kept with its exit code, its last output line parsed as
-JSON, and OPENBLAS_NUM_THREADS as found in the environment (the tool
-never sets it). The summary has, per workload and end-to-end metric, the
+JSON, OPENBLAS_NUM_THREADS as found in the environment (the tool never
+sets it) and os.cpu_count(), which sizes OpenBLAS's pool where that
+variable is unset. The summary has, per workload and end-to-end metric, the
 median and quartiles of each side, `change_wins` (pairs whose change run
 is better), `pairs`, `median_change_pct` and every run's value in pair
 order, plus `correct_all` and `failed_total`.
@@ -54,6 +55,7 @@ def run_once(tree, workload, seed, seconds):
 def run_pairs(trees, workloads, pairs, seed_base, seconds):
     """Every run of every pair, in the order run."""
     threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    cpus = os.cpu_count()
     runs = []
     for workload in workloads:
         for pair in range(pairs):
@@ -64,7 +66,7 @@ def run_pairs(trees, workloads, pairs, seed_base, seconds):
                 runs.append({
                     "workload": workload, "seed": seed, "pair": pair, "side": side,
                     "ran_first": position == 0, "exit_code": exit_code, "output": output,
-                    "openblas_num_threads": threads,
+                    "openblas_num_threads": threads, "cpu_count": cpus,
                 })
                 print(f"{workload} pair {pair} {side}: exit {exit_code} {json.dumps(output)}",
                       flush=True)
